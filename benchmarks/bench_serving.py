@@ -16,8 +16,9 @@ Measures the serving paths against the same stored model:
   isolating cross-request batching (no coalescing contribution);
 * **engine** — the no-grad fused forward vs the training-mode autograd
   forward on the same inference batch, isolating the kernel win;
-* **load** — the multi-worker cluster under sustained **open-loop**
-  traffic: for each worker count in ``--workers``, arrivals are issued
+* **load** — the serving cluster under sustained **open-loop**
+  traffic: for each worker count in ``--workers`` (``0`` is the
+  in-process server ``repro serve`` runs), arrivals are issued
   on a fixed schedule (independent of completions, so queueing delay is
   charged to the request — no coordinated omission) and the section
   reports p50/p95/p99 latency plus achieved throughput per worker
@@ -204,7 +205,7 @@ def bench_cluster_load(
             # measurement window
             warm = [
                 cluster.submit(ServeRequest(benchmark=name))
-                for name in benchmarks * count
+                for name in benchmarks * max(1, count)
             ]
             serial_s = []
             for future in warm:
@@ -300,7 +301,7 @@ def bench_dispatch_calibration(
             replicas=max(2, count),
         ))
         try:
-            for _ in range(count):
+            for _ in range(count or 1):  # 0: the one in-process lane
                 worker = _FixedServiceWorker(service_s)
                 worker.dispatcher = dispatcher
                 dispatcher.add_worker(worker)

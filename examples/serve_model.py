@@ -15,7 +15,7 @@ import threading
 import urllib.request
 
 from repro.api import Session, predicted_times_row
-from repro.serving import PredictionService, ServeRequest, make_server
+from repro.serving import PredictionCluster, ServeRequest, make_server
 
 session = Session(scale="smoke")
 
@@ -35,8 +35,9 @@ for name, row in session.predict_many(["505.mcf", "519.lbm"]).items():
 for name, summary in session.evaluate(["505.mcf"]).items():
     print(f"{name}: {summary.row()}")
 
-# The same predictions as a service: micro-batching queue + HTTP endpoint.
-service = PredictionService(session=session)
+# The same predictions as a service: the dispatcher in front of one
+# in-process worker (what `repro serve` runs) + HTTP endpoint.
+service = PredictionCluster(workers=0, session=session)
 print("service:", service.predict(ServeRequest(benchmark="505.mcf")).times)
 
 server = make_server(service, port=0)  # port=0: pick a free port

@@ -346,34 +346,23 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.serving import (
-        DispatchPolicy, PredictionCluster, PredictionService, run_server,
-    )
+    from repro.serving import DispatchPolicy, PredictionCluster, run_server
 
     print(_resolved_header("serve", args.scale, max(1, args.workers)))
-    if args.workers > 0:
-        service = PredictionCluster(
-            workers=args.workers,
-            scale=args.scale,
-            cache_dir=args.cache_dir,
-            model_cache=args.model_cache,
-            policy=DispatchPolicy(
-                queue_depth=args.queue_depth,
-                queue_timeout_s=args.queue_timeout,
-                hedge_after_s=args.hedge_after or None,
-            ),
-        )
-        endpoints = ("POST /v1/predict, POST /v1/swap, GET /healthz, "
-                     "GET /v1/models, GET /v1/stats")
-    else:
-        service = PredictionService(
-            scale=args.scale,
-            cache_dir=args.cache_dir,
-            model_cache=args.model_cache,
-            max_batch=args.max_batch,
-        )
-        endpoints = "POST /v1/predict, GET /healthz, GET /v1/models"
-    print(f"listening on http://{args.host}:{args.port} ({endpoints})")
+    service = PredictionCluster(
+        workers=args.workers,
+        scale=args.scale,
+        cache_dir=args.cache_dir,
+        model_cache=args.model_cache,
+        policy=DispatchPolicy(
+            queue_depth=args.queue_depth,
+            queue_timeout_s=args.queue_timeout,
+            hedge_after_s=args.hedge_after or None,
+        ),
+    )
+    print(f"listening on http://{args.host}:{args.port} (POST /v1/predict, "
+          "POST /v1/swap, GET /healthz, GET /v1/models, GET /v1/stats, "
+          "GET /v1/metrics)")
     run_server(service, host=args.host, port=args.port)
     return 0
 
@@ -720,13 +709,9 @@ def main(argv: list[str] | None = None) -> int:
         help="deserialized models kept hot (LRU)",
     )
     p_serve.add_argument(
-        "--max-batch", type=int, default=64, metavar="N",
-        help="micro-batch size cap for queued requests",
-    )
-    p_serve.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="prediction worker processes behind a dispatching frontend "
-             "(0: serve in-process, the default)",
+        help="prediction worker processes behind the dispatcher "
+             "(0: one in-process worker, the default)",
     )
     p_serve.add_argument(
         "--queue-depth", type=int, default=64, metavar="N",

@@ -1,17 +1,18 @@
 """Model serving: batched prediction as a long-lived service.
 
 * :mod:`~repro.serving.service` — :class:`PredictionService`: hot models
-  and feature streams in LRU caches, a micro-batching request queue, and
-  batched no-grad inference underneath (every queued request shares one
-  engine pass per batch).
+  and feature streams in LRU caches over batched no-grad inference
+  (each batch groups its requests by model, one engine pass per group).
 * :mod:`~repro.serving.dispatch` — :class:`Dispatcher`: per-model
-  routing, bounded queues with timeout/rejection, request hedging and
-  crash fail-over across worker lanes (transport-agnostic).
-* :mod:`~repro.serving.cluster` — :class:`PredictionCluster`: N worker
-  processes (each a ``PredictionService`` over mmap-shared weights)
-  behind one dispatcher, with graceful model hot-swap.
+  routing, bounded queues with timeout/rejection, lane micro-batching,
+  request hedging and crash fail-over across worker lanes
+  (transport-agnostic).
+* :mod:`~repro.serving.cluster` — :class:`PredictionCluster`: serving
+  workers (each a ``PredictionService``) behind one dispatcher, with
+  graceful model hot-swap; N spawned processes over mmap-shared weights,
+  or one in-process worker.
 * :mod:`~repro.serving.http` — a dependency-free HTTP/JSON endpoint over
-  either backend (``repro serve [--workers N]``).
+  the cluster (``repro serve [--workers N]``).
 """
 
 from repro.serving.dispatch import (

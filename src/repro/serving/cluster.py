@@ -1,4 +1,4 @@
-"""Multi-worker prediction cluster: N processes, one dispatcher.
+"""Prediction cluster: one dispatcher in front of every serving worker.
 
 Topology::
 
@@ -7,15 +7,23 @@ Topology::
                  v
                Dispatcher (repro.serving.dispatch)
                  |  per-model rendezvous routing, bounded lanes,
-                 |  timeout/rejection, hedging, fail-over
+                 |  timeout/rejection, hedging, fail-over, lane batching
                  v
-               worker processes (repro.runtime.workers.WorkerProcess)
-                 each: PredictionService(mmap=True) answering batches
+               workers, each a PredictionService answering lane batches:
+                 workers=N  N spawned processes
+                            (repro.runtime.workers.WorkerProcess)
+                 workers=0  one in-process worker: its lane's sender
+                            thread answers the batch itself
 
-Workers load model weights with ``mmap=True`` — read-only views over
-the artifact's extracted ``.npy`` sidecar — so all N processes share
-**one** physical copy of each model through the OS page cache instead of
-N private copies.
+Both modes take the same path, so the in-process server (``repro
+serve``) and ``repro serve --workers N`` share load-shedding, timeouts,
+batching, hot swap and the stats/metrics surface.
+
+Worker processes load model weights with ``mmap=True`` — read-only
+views over the artifact's extracted ``.npy`` sidecar — so all N
+processes share **one** physical copy of each model through the OS page
+cache instead of N private copies.  The in-process worker has nothing to
+share and loads weights eagerly.
 
 **Routing is by concrete artifact id.**  The frontend resolves a
 request's family to an artifact id *once, at submit time* (the routes
@@ -52,22 +60,36 @@ from repro.serving.service import (
     PredictionService,
     ServeRequest,
     ServeResult,
+    error_reply,
 )
 
-#: Worker error classification -> HTTP status at the frontend.
-ERROR_STATUS = {"not-found": 404, "bad-request": 400, "internal": 500}
 
+def _answer(
+    service: PredictionService, items: list
+) -> list[tuple[int, ServeResult | Exception]]:
+    """Answer one lane batch of ``(rid, request dict)`` pairs.
 
-def _classify(exc: Exception) -> str:
-    """Map a worker-side exception to a wire error kind."""
-    from repro.core.errors import PredictionError, UnknownBenchmarkError
-    from repro.models import StoreError
-
-    if isinstance(exc, (UnknownBenchmarkError, StoreError, KeyError)):
-        return "not-found"
-    if isinstance(exc, (PredictionError, TypeError, ValueError)):
-        return "bad-request"
-    return "internal"
+    Parse failures answer per request; the parseable remainder runs
+    through the service's per-request error-isolating batch path.
+    Outcomes pair each rid with a result or the exception it raised.
+    """
+    outcomes: list[tuple[int, ServeResult | Exception]] = []
+    parsed: list[tuple[int, ServeRequest]] = []
+    parent = None
+    for rid, payload in items:
+        # the frontend's trace context rides the envelope; pop it before
+        # schema validation and parent the worker span on it so the
+        # request stitches across the thread or process boundary
+        ctx = obs.extract_message(payload)
+        parent = parent or ctx
+        try:
+            parsed.append((rid, ServeRequest.from_dict(payload)))
+        except (ValueError, TypeError) as exc:
+            outcomes.append((rid, exc))
+    with obs.span("worker.predict", parent=parent, requests=len(parsed)):
+        results = service.predict_each([req for _, req in parsed])
+    outcomes.extend(zip((rid for rid, _ in parsed), results))
+    return outcomes
 
 
 def _worker_main(conn, options: dict) -> None:
@@ -79,7 +101,7 @@ def _worker_main(conn, options: dict) -> None:
                           ("ctl", cid, {"op": ...})
                           ("stop",)
         worker -> parent: ("ok", rid, result dict)
-                          ("err", rid, kind, message)
+                          ("err", rid, http status, message)
                           ("ctl-ok", cid, payload) / ("ctl-err", cid, msg)
     """
     service = PredictionService(
@@ -103,30 +125,9 @@ def _worker_main(conn, options: dict) -> None:
             _, cid, payload = message
             conn.send(_handle_control(service, cid, payload))
             continue
-        # ("predict", items) — parse failures answer per request, the
-        # parseable remainder runs through the service's per-request
-        # error-isolating batch path.
-        parsed: list[tuple[int, ServeRequest]] = []
-        parent = None
-        for rid, payload in message[1]:
-            # the frontend's trace context rides the envelope; pop it
-            # before schema validation and parent this worker's span on
-            # it so the request stitches across the process boundary
-            ctx = obs.extract_message(payload)
-            parent = parent or ctx
-            try:
-                parsed.append((rid, ServeRequest.from_dict(payload)))
-            except (ValueError, TypeError) as exc:
-                conn.send(("err", rid, "bad-request", str(exc)))
-        with obs.span(
-            "worker.predict", parent=parent, requests=len(parsed),
-        ):
-            outcomes = service.predict_each([req for _, req in parsed])
-        for (rid, _), outcome in zip(parsed, outcomes):
+        for rid, outcome in _answer(service, message[1]):  # ("predict", items)
             if isinstance(outcome, Exception):
-                conn.send(
-                    ("err", rid, _classify(outcome), str(outcome))
-                )
+                conn.send(("err", rid, *error_reply(outcome)))
             else:
                 conn.send(("ok", rid, outcome.to_dict()))
 
@@ -180,12 +181,38 @@ class _PipeLink(WorkerLink):
             pass
 
 
-class PredictionCluster:
-    """N resident worker processes behind one dispatching frontend.
+class _LocalLink(WorkerLink):
+    """Dispatcher-facing transport to the in-process worker.
 
-    Offers the same ``submit``/``predict`` surface as
-    :class:`PredictionService`, so the HTTP frontend and the load
-    harness drive either interchangeably.
+    The lane's sender thread answers each batch itself, so the
+    in-process worker is serial like a spawned one, and outcomes resolve
+    the futures as they are: results unencoded, exceptions unwrapped.
+    """
+
+    def __init__(self, service: PredictionService, dispatcher: Dispatcher):
+        self.service = service
+        self.dispatcher = dispatcher
+
+    def send_requests(self, items: list) -> None:
+        for rid, outcome in _answer(self.service, items):
+            if isinstance(outcome, Exception):
+                self.dispatcher.fail(rid, outcome)
+            else:
+                self.dispatcher.complete(rid, outcome)
+
+    def send_control(self, cid: int, payload: dict) -> None:
+        kind, _, reply = _handle_control(self.service, cid, payload)
+        self.dispatcher.control_reply(cid, kind == "ctl-ok", reply)
+
+
+class PredictionCluster:
+    """Serving workers behind one dispatching frontend.
+
+    ``workers`` spawned processes answer the dispatcher's lanes; with
+    ``workers=0`` one in-process worker does (``mmap`` applies to worker
+    processes only).  The HTTP frontend and the load harness drive both
+    modes through the same ``submit``/``predict``/``swap``/``stats``
+    surface.
     """
 
     def __init__(
@@ -200,12 +227,18 @@ class PredictionCluster:
         mmap: bool = True,
         jit: bool | None = None,
     ):
-        if workers < 1:
-            raise ValueError("a cluster needs at least one worker")
+        if workers < 0:
+            raise ValueError(
+                "worker count must be >= 0 (0 serves in-process)"
+            )
         self.session = session or Session(
             scale=scale, cache_dir=cache_dir, jit=jit
         )
         self.workers = workers
+        self._local = None if workers else PredictionService(
+            session=self.session, model_cache=model_cache,
+            feature_cache=feature_cache,
+        )
         self._options = {
             "scale": self.session.scale.name,
             "cache_dir": self.session.cache_dir,
@@ -228,12 +261,12 @@ class PredictionCluster:
 
     # -- lifecycle --------------------------------------------------------
     def start(self) -> None:
-        """Spawn the worker processes (idempotent)."""
+        """Start the workers (idempotent)."""
         with self._lock:
             if self._started:
                 return
             self._started = True
-        for _ in range(self.workers):
+        for _ in range(self.workers or 1):
             self._spawn_worker()
 
     def stop(self) -> None:
@@ -362,9 +395,11 @@ class PredictionCluster:
 
         Fans the ``metrics`` control op out to every live worker; a
         worker that dies or stalls is simply absent from the result —
-        ``/v1/metrics`` renders whatever answered.
+        ``/v1/metrics`` renders whatever answered.  The in-process
+        worker records into this process's registry, so it has no
+        separate snapshot.
         """
-        if not self._started:
+        if not self._started or self._local is not None:
             return {}
         acks = [
             (wid, self.dispatcher.control(wid, {"op": "metrics"}))
@@ -403,6 +438,10 @@ class PredictionCluster:
 
     # -- internals --------------------------------------------------------
     def _spawn_worker(self) -> int:
+        if self._local is not None:
+            return self.dispatcher.add_worker(
+                _LocalLink(self._local, self.dispatcher)
+            )
         from repro.runtime.workers import WorkerProcess
 
         proc = WorkerProcess(
@@ -431,13 +470,8 @@ class PredictionCluster:
                     message[1], ServeResult.from_dict(message[2])
                 )
             elif kind == "err":
-                _, rid, ekind, text = message
-                self.dispatcher.fail(
-                    rid,
-                    WorkerError(
-                        ekind, text, ERROR_STATUS.get(ekind, 500)
-                    ),
-                )
+                _, rid, status, text = message
+                self.dispatcher.fail(rid, WorkerError(text, status))
             elif kind == "ctl-ok":
                 self.dispatcher.control_reply(message[1], True, message[2])
             elif kind == "ctl-err":
@@ -457,4 +491,4 @@ class PredictionCluster:
             self._spawn_worker()
 
 
-__all__ = ["ERROR_STATUS", "PredictionCluster"]
+__all__ = ["PredictionCluster"]

@@ -74,16 +74,11 @@ class NoWorkersAvailable(ServingUnavailable):
 
 
 class WorkerError(RuntimeError):
-    """An error raised *inside* a worker, reconstructed at the frontend.
+    """An error raised *inside* a worker process, reconstructed at the
+    frontend with the HTTP ``status`` the worker mapped it to."""
 
-    ``kind`` is the worker's error classification (see
-    :mod:`repro.serving.cluster`); ``status`` the HTTP status it maps
-    to.
-    """
-
-    def __init__(self, kind: str, message: str, status: int = 500):
+    def __init__(self, message: str, status: int = 500):
         super().__init__(message)
-        self.kind = kind
         self.status = status
 
 
@@ -111,7 +106,8 @@ class WorkerLink:
     """Transport protocol a worker must offer the dispatcher.
 
     Implementations ship messages to the worker; replies come back
-    through whatever reader the owner runs, which must call
+    through whatever reader the owner runs — or, for an in-process
+    worker, from inside the send call itself — which must call
     :meth:`Dispatcher.complete` / :meth:`Dispatcher.fail` /
     :meth:`Dispatcher.control_reply` / :meth:`Dispatcher.worker_lost`.
     Send methods are only ever called from the worker's single lane
@@ -366,7 +362,7 @@ class Dispatcher:
         if ok:
             future.set_result(payload)
         else:
-            future.set_exception(WorkerError("control", str(payload)))
+            future.set_exception(WorkerError(str(payload)))
 
     def worker_lost(self, worker_id: int) -> None:
         """Transport EOF: fail over everything assigned to the worker."""

@@ -1,22 +1,20 @@
-"""Stdlib-only HTTP/JSON frontend over a prediction backend.
+"""Stdlib-only HTTP/JSON frontend over a prediction cluster.
 
-The backend is either a single-process
-:class:`~repro.serving.service.PredictionService` or a multi-worker
-:class:`~repro.serving.cluster.PredictionCluster` — both expose the
-same ``submit``/``start``/``stop``/``session`` surface, so the handler
-does not care which it is serving.
+The backend is a :class:`~repro.serving.cluster.PredictionCluster`:
+worker processes, or with ``workers=0`` one in-process worker, behind
+the same dispatcher — so every endpoint behaves the same in both modes.
 
 Endpoints::
 
     GET  /healthz      -> {"status": "ok", "scale": ..., "models": N,
-                           "workers": N or 0}
+                           "workers": alive workers (in-process: 1)}
     GET  /v1/models    -> {"models": [manifest, ...]}
-    GET  /v1/stats     -> dispatcher/worker counters (cluster; a plain
-                          service answers a minimal payload)
+    GET  /v1/stats     -> dispatcher counters, routes, per-worker stats
+    GET  /v1/metrics   -> Prometheus text (worker processes merged in)
     POST /v1/predict   -> single:  {"benchmark": "505.mcf", ...}
                           batched: {"requests": [{...}, {...}]}
     POST /v1/swap      -> {"artifact": "<id>", "family": optional}
-                          (cluster only: atomic model hot-swap)
+                          (atomic model hot-swap)
 
 Each POSTed prediction request accepts the fields of
 :class:`~repro.serving.service.ServeRequest` (``benchmark`` required).
@@ -26,8 +24,10 @@ per request, plus the artifact id that served it.
 Error mapping: bad JSON / unknown fields -> 400; unknown benchmark,
 family or artifact -> 404; overload (queue full / timeout / no
 workers — the :class:`~repro.serving.dispatch.ServingUnavailable`
-family) -> 503 with a ``Retry-After`` header; worker-side errors carry
-their own status; everything else -> 500 with the exception text.
+family) -> 503 with a ``Retry-After`` header; everything else -> 500
+with the exception text.  Worker processes map their errors with the
+same :func:`~repro.serving.service.error_reply` table before shipping
+them, so both serving modes answer a failure with the same status.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import obs
 from repro.obs.metrics import REGISTRY, render_prometheus
-from repro.core.errors import PredictionError, UnknownBenchmarkError
-from repro.models import StoreError
 from repro.serving.dispatch import ServingUnavailable, WorkerError
-from repro.serving.service import ServeRequest
+from repro.serving.service import ServeRequest, error_reply
 
 #: Largest accepted request body (bytes) — predict payloads are tiny.
 MAX_BODY = 1 << 20
@@ -122,12 +120,8 @@ class _Handler(BaseHTTPRequestHandler):
             )
         elif isinstance(exc, WorkerError):
             self._error(exc.status, str(exc))
-        elif isinstance(exc, (UnknownBenchmarkError, StoreError, KeyError)):
-            self._error(404, str(exc))
-        elif isinstance(exc, (PredictionError, TypeError, ValueError)):
-            self._error(400, str(exc))
         else:
-            self._error(500, f"{type(exc).__name__}: {exc}")
+            self._error(*error_reply(exc))
 
     def _body(self) -> dict:
         length = int(self.headers.get("Content-Length", 0))
@@ -141,33 +135,27 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path == "/v1/metrics":
             self._get_metrics()
         elif self.path == "/healthz":
-            dispatcher = getattr(self.service, "dispatcher", None)
             self._reply(200, {
                 "status": "ok",
                 "scale": self.service.session.scale.name,
                 "models": len(self.service.session.models()),
-                "workers": (
-                    len(dispatcher.alive_workers()) if dispatcher else 0
-                ),
+                "workers": len(self.service.dispatcher.alive_workers()),
             })
         elif self.path == "/v1/models":
             self._reply(200, {"models": self.service.session.models()})
         elif self.path == "/v1/stats":
-            stats = getattr(self.service, "stats", None)
-            self._reply(200, stats() if stats else {"workers": {}})
+            self._reply(200, self.service.stats())
         else:
             self._error(404, f"no such endpoint: {self.path}")
 
     def _get_metrics(self) -> None:
-        """Prometheus text over this process plus every cluster worker."""
+        """Prometheus text over this process plus every worker process."""
         snapshots = [({}, obs.metrics_snapshot())]
-        worker_metrics = getattr(self.service, "worker_metrics", None)
-        if worker_metrics is not None:
-            try:
-                for wid, snap in sorted(worker_metrics().items()):
-                    snapshots.append(({"worker": str(wid)}, snap))
-            except Exception:  # noqa: BLE001 - scrape must not 500
-                pass  # a dying worker shouldn't fail the whole scrape
+        try:
+            for wid, snap in sorted(self.service.worker_metrics().items()):
+                snapshots.append(({"worker": str(wid)}, snap))
+        except Exception:  # noqa: BLE001 - scrape must not 500
+            pass  # a dying worker shouldn't fail the whole scrape
         self._reply_text(
             200, render_prometheus(snapshots),
             "text/plain; version=0.0.4",
@@ -205,8 +193,7 @@ class _Handler(BaseHTTPRequestHandler):
             requests=len(requests),
         ) as sp:
             try:
-                # service: micro-batch queue; cluster: dispatcher lanes —
-                # either way concurrent clients share batched engine passes
+                # the dispatcher's lanes batch concurrent clients' requests
                 futures = [self.service.submit(r) for r in requests]
                 results = [f.result() for f in futures]
             except Exception as exc:
@@ -236,14 +223,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, results[0].to_dict())
 
     def _post_swap(self) -> None:
-        swap = getattr(self.service, "swap", None)
-        if swap is None:
-            self._error(
-                400,
-                "model hot-swap needs the worker cluster; "
-                "restart with `repro serve --workers N`",
-            )
-            return
         try:
             payload = self._body()
             artifact = payload["artifact"]
@@ -251,7 +230,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(400, f"bad request: {exc}")
             return
         try:
-            outcome = swap(artifact, family=payload.get("family"))
+            outcome = self.service.swap(artifact, family=payload.get("family"))
         except Exception as exc:
             self._fail(exc)
             return
@@ -263,10 +242,10 @@ def make_server(
 ) -> ThreadingHTTPServer:
     """Build (and bind) the HTTP server; ``port=0`` picks a free port.
 
-    ``service`` is a :class:`PredictionService` or
-    :class:`PredictionCluster`.  The caller runs ``serve_forever()``
-    (or spins it in a thread — the round-trip tests do) and
-    ``shutdown()`` when done.
+    ``service`` is a :class:`~repro.serving.cluster.PredictionCluster`
+    (``workers=0`` serves in-process).  The caller runs
+    ``serve_forever()`` (or spins it in a thread — the round-trip tests
+    do) and ``shutdown()`` when done.
     """
     server = ThreadingHTTPServer((host, port), _Handler)
     server.service = service  # type: ignore[attr-defined]

@@ -1,4 +1,4 @@
-"""The prediction service: hot models, hot features, micro-batched requests.
+"""The prediction service: hot models and hot features over batched inference.
 
 ``Session.predict`` is a one-shot path: it resolves and loads the model
 artifact on every call.  A serving process answering sustained traffic
@@ -12,16 +12,15 @@ provides:
 * **feature LRU** — recently served benchmarks keep their encoded
   ``[n, 51]`` streams (backed by the on-disk content-addressed feature
   cache for cold entries);
-* **micro-batching** — :meth:`submit` enqueues a request and returns a
-  future; a collector thread drains the queue, groups requests by model
-  and answers each group through one batched no-grad engine pass.  The
-  single-process HTTP frontend submits every request here, so concurrent
-  clients batch together automatically.  Partial batches flush on the
-  batching-window deadline even when no follow-up traffic arrives.
+* **batched answers** — :meth:`predict_batch` groups requests by model
+  and answers each group through one batched no-grad engine pass.
 
-:meth:`predict` / :meth:`predict_batch` are the same path called
-synchronously (no queue) — useful in scripts and tests, and the inner
-loop of every :mod:`repro.serving.cluster` worker process.
+The service is synchronous and owns no threads.  Queueing and
+micro-batching of concurrent traffic belong to the
+:class:`~repro.serving.dispatch.Dispatcher` in front of it: every
+:mod:`repro.serving.cluster` worker — spawned process or the in-process
+worker of ``repro serve`` — answers each lane batch with
+:meth:`predict_each`.
 
 All six model families serve: each family's
 :attr:`~repro.models.base.PerformanceModel.serve_inputs` names what a
@@ -31,18 +30,30 @@ request must carry (feature stream, trace length, signature times), and
 
 from __future__ import annotations
 
-import queue
 import threading
-import time
-from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro import obs
 from repro.api import Session
 from repro.core.errors import PredictionError
-from repro.models import PerformanceModel
-from repro.obs.metrics import REGISTRY, SIZE_BUCKETS
+from repro.models import PerformanceModel, StoreError
+from repro.obs.metrics import REGISTRY
+
+
+def error_reply(exc: Exception) -> tuple[int, str]:
+    """HTTP status and message for a request that raised ``exc``.
+
+    One table for every worker: the HTTP frontend applies it to the
+    in-process worker's exceptions, and worker processes apply it before
+    shipping an error over their pipe.
+    """
+    if isinstance(exc, (StoreError, KeyError)):  # UnknownBenchmarkError too
+        return 404, str(exc)
+    if isinstance(exc, (PredictionError, TypeError, ValueError)):
+        return 400, str(exc)
+    return 500, f"{type(exc).__name__}: {exc}"
+
 
 #: Request fields accepted over the wire.
 _REQUEST_FIELDS = {"benchmark", "family", "artifact", "config",
@@ -139,7 +150,7 @@ class _LRU:
 
 
 class PredictionService:
-    """Serve stored models with caching and micro-batched inference."""
+    """Serve stored models with caching and batched inference."""
 
     def __init__(
         self,
@@ -148,8 +159,6 @@ class PredictionService:
         cache_dir: str | None = None,
         model_cache: int = 4,
         feature_cache: int = 64,
-        max_batch: int = 64,
-        batch_window_s: float = 0.002,
         mmap: bool = False,
         jit: bool | None = None,
         frontend: str | None = None,
@@ -158,24 +167,10 @@ class PredictionService:
             scale=scale, cache_dir=cache_dir, jit=jit,
             **({"frontend": frontend} if frontend else {}),
         )
-        self.max_batch = max_batch
-        self.batch_window_s = batch_window_s
         self.mmap = mmap
         self._models = _LRU(model_cache)
         self._features = _LRU(feature_cache)
         self._lock = threading.Lock()
-        self._queue: queue.Queue = queue.Queue()
-        self._collector: threading.Thread | None = None
-        self._stopping = threading.Event()
-        self._batch_size_hist = REGISTRY.histogram(
-            "repro_microbatch_size",
-            "Requests answered per micro-batch flush.",
-            buckets=SIZE_BUCKETS,
-        )
-        self._flush_hist = REGISTRY.histogram(
-            "repro_microbatch_flush_seconds",
-            "Wall time to answer one micro-batch.",
-        )
         self._cache_events = {
             (cache, outcome): REGISTRY.counter(
                 "repro_serving_cache_total",
@@ -229,7 +224,7 @@ class PredictionService:
             self._cache_events[("feature", "hit")].inc()
         return stream
 
-    # -- synchronous path -------------------------------------------------
+    # -- answering --------------------------------------------------------
     def predict(self, request: ServeRequest) -> ServeResult:
         """Answer one request (a batch of one)."""
         return self.predict_batch([request])[0]
@@ -302,7 +297,7 @@ class PredictionService:
 
     # -- introspection ----------------------------------------------------
     def stats(self) -> dict:
-        """Service counters for ``GET /v1/stats`` (single-process mode).
+        """This worker's counters (``worker_stats`` in ``GET /v1/stats``).
 
         The ``jit`` section is this process's compiled-kernel activity —
         compile counts, registry/disk hits, per-signature timings — taken
@@ -321,78 +316,3 @@ class PredictionService:
         with self.session._jit_scope():
             payload["jit"] = jit.stats()
         return payload
-
-    # -- micro-batching queue --------------------------------------------
-    def submit(self, request: ServeRequest) -> Future:
-        """Enqueue a request; the collector thread batches and answers it.
-
-        Starts the collector lazily on first use.
-        """
-        future: Future = Future()
-        self.start()
-        self._queue.put((request, future))
-        return future
-
-    def start(self) -> None:
-        """Start the micro-batch collector thread (idempotent)."""
-        with self._lock:
-            if self._collector is not None and self._collector.is_alive():
-                return
-            self._stopping.clear()
-            self._collector = threading.Thread(
-                target=self._collect_loop, name="repro-serving", daemon=True
-            )
-            self._collector.start()
-
-    def stop(self) -> None:
-        """Stop the collector; queued requests are answered first."""
-        collector = self._collector
-        if collector is None:
-            return
-        self._stopping.set()
-        collector.join()
-        self._collector = None
-
-    def _collect_loop(self) -> None:
-        while True:
-            batch = self._drain()
-            if batch:
-                self._answer(batch)
-            elif self._stopping.is_set():
-                return
-
-    def _drain(self) -> list[tuple[ServeRequest, Future]]:
-        """One micro-batch: the first request plus whatever arrives within
-        the batching window, capped at ``max_batch``.
-
-        The deadline is absolute: a partial batch flushes when the window
-        expires even if no follow-up request ever arrives."""
-        batch: list[tuple[ServeRequest, Future]] = []
-        try:
-            batch.append(self._queue.get(timeout=0.05))
-        except queue.Empty:
-            return batch
-        deadline = time.monotonic() + self.batch_window_s
-        while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                batch.append(self._queue.get(timeout=remaining))
-            except queue.Empty:
-                break
-        return batch
-
-    def _answer(self, batch: list[tuple[ServeRequest, Future]]) -> None:
-        started = time.perf_counter()
-        with obs.span("service.microbatch", size=len(batch)):
-            outcomes = self.predict_each(
-                [request for request, _ in batch]
-            )
-        self._batch_size_hist.observe(len(batch))
-        self._flush_hist.observe(time.perf_counter() - started)
-        for (_, future), outcome in zip(batch, outcomes):
-            if isinstance(outcome, Exception):
-                future.set_exception(outcome)
-            else:
-                future.set_result(outcome)

@@ -148,3 +148,22 @@ def test_cluster_request_one_stitched_trace(traced):
         assert any(
             s.pid == worker.pid for s in by_name.get(name, [])
         ), f"expected {name} span from the worker process"
+
+
+def test_in_process_request_one_stitched_trace(traced):
+    # the in-process worker answers on the dispatcher's lane thread; the
+    # request envelope carries the trace context across that thread hop
+    from repro.api import Session
+    from repro.serving import PredictionCluster, ServeRequest
+
+    session = Session(scale="smoke")
+    session.train(benchmarks=("999.specrand",), **CLUSTER_SPEC)
+    with PredictionCluster(workers=0, session=session) as server:
+        with obs.span("client.request") as sp:
+            server.predict(ServeRequest(benchmark="999.specrand"), timeout=120)
+    spans = group_traces(load_spans()).get(sp.trace_id, [])
+    by_name = {span.name: span for span in spans}
+    assert by_name["worker.predict"].parent_id == sp.span_id
+    assert by_name["worker.predict"].pid == os.getpid()
+    assert (by_name["service.model_load"].parent_id
+            == by_name["worker.predict"].span_id)

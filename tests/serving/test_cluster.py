@@ -49,9 +49,48 @@ def cluster(session):
         yield cluster
 
 
-def test_cluster_needs_at_least_one_worker(session):
-    with pytest.raises(ValueError, match="at least one worker"):
-        PredictionCluster(workers=0, session=session)
+def test_negative_worker_count_is_rejected(session):
+    with pytest.raises(ValueError, match=">= 0"):
+        PredictionCluster(workers=-1, session=session)
+
+
+def test_in_process_worker_runs_the_cluster_surface(tmp_path):
+    # workers=0 is the same dispatcher path with one in-process worker:
+    # exact answers, hot swap, per-worker stats, no worker processes.
+    # Its own store: a second artifact here must not become "newest"
+    # for the module's cluster.
+    session = Session(scale="smoke", cache_dir=str(tmp_path))
+    old_id = session.train(benchmarks=BENCHMARKS, **SPEC).artifact_id
+    with PredictionCluster(workers=0, session=session) as server:
+        result = server.predict(ServeRequest(benchmark="505.mcf"), timeout=120)
+        assert result.artifact == old_id
+        assert result.times == session.predict("505.mcf")
+
+        new_id = session.train(
+            benchmarks=BENCHMARKS, **{**SPEC, "epochs": 2}
+        ).artifact_id
+        # the route stays pinned until the swap flips it
+        assert server.predict(
+            ServeRequest(benchmark="505.mcf"), timeout=120
+        ).artifact == old_id
+        outcome = server.swap(new_id)
+        assert outcome == {"family": "perfvec", "artifact": new_id,
+                           "previous": old_id, "workers": 1}
+        swapped = server.predict(ServeRequest(benchmark="505.mcf"), timeout=120)
+        assert swapped.artifact == new_id
+        assert swapped.times == session.predict("505.mcf", artifact=new_id)
+
+        stats = server.stats()
+        assert stats["completed"] == 3 and stats["worker_pids"] == {}
+        assert stats["routes"] == {"perfvec": new_id}
+        assert [w["scale"] for w in stats["worker_stats"].values()] == [
+            "smoke"
+        ]
+        # the in-process worker records into this process's registry,
+        # which /v1/metrics renders once — no per-worker copy
+        assert server.worker_metrics() == {}
+        with pytest.raises(RuntimeError, match="no workers to kill"):
+            server.kill_worker()
 
 
 def test_concurrent_clients_byte_identical(cluster, expected):

@@ -8,7 +8,7 @@ import urllib.request
 import pytest
 
 from repro.api import Session
-from repro.serving import PredictionService, make_server
+from repro.serving import PredictionCluster, make_server
 
 SPEC = dict(arch="lstm-1-8", chunk_len=16, batch_size=8, epochs=1)
 BENCHMARKS = ("999.specrand", "505.mcf")
@@ -25,7 +25,8 @@ def session(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def endpoint(session):
-    service = PredictionService(session=session)
+    # the in-process server `repro serve` runs (no --workers)
+    service = PredictionCluster(workers=0, session=session)
     server = make_server(service, port=0)  # ephemeral port
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -33,6 +34,8 @@ def endpoint(session):
     server.shutdown()
     server.server_close()
     service.stop()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def _get(url):
@@ -181,9 +184,30 @@ def test_metrics_endpoint_parses_with_core_series(endpoint):
     assert status == 200
     assert headers["Content-Type"].startswith("text/plain")
     samples = parse_prometheus(body.decode())
-    assert samples["repro_microbatch_size_count"] >= 1
-    assert samples["repro_microbatch_flush_seconds_count"] >= 1
+    # in-process requests ride the dispatcher's lanes too
+    assert samples["repro_dispatch_batch_size_count"] >= 1
+    assert samples["repro_dispatch_latency_seconds_count"] >= 1
     assert samples['repro_serving_cache_total{cache="model",outcome="hit"}'] \
         >= 1
     assert any(k.startswith('repro_http_responses_total{status="200"}')
                for k in samples)
+    # one process, one registry: no series is repeated under a worker label
+    assert not any('worker="' in k for k in samples)
+
+
+def test_stats_and_swap_work_in_process(endpoint, session):
+    _post(f"{endpoint}/v1/predict", {"benchmark": "505.mcf"})
+    status, stats = _get(f"{endpoint}/v1/stats")
+    assert status == 200
+    artifact = session.resolve_artifact()
+    assert stats["routes"] == {"perfvec": artifact}
+    assert stats["completed"] >= 1 and stats["workers"]["0"]["alive"]
+    (worker,) = stats["worker_stats"].values()
+    assert worker["scale"] == "smoke" and worker["models_cached"] >= 1
+
+    status, body = _post(f"{endpoint}/v1/swap", {"artifact": artifact})
+    assert status == 200
+    assert body["artifact"] == body["previous"] == artifact
+    assert body["workers"] == 1
+    status, body = _post(f"{endpoint}/v1/swap", {"artifact": "perfvec-nope"})
+    assert status == 404

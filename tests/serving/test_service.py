@@ -1,15 +1,22 @@
-"""PredictionService: caching, grouping, micro-batching."""
+"""PredictionService: caching, grouping; submitted traffic in-process.
 
+Submitted requests go through the dispatcher: ``PredictionCluster``
+with ``workers=0`` is the in-process server ``repro serve`` runs.
+"""
+
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.core.errors import UnknownBenchmarkError
+from repro.core.errors import PredictionError, UnknownBenchmarkError
 from repro.models import StoreError
-from repro.serving import PredictionService, ServeRequest
-from repro.serving.service import _LRU
+from repro.obs.metrics import REGISTRY
+from repro.serving import PredictionCluster, PredictionService, ServeRequest
+from repro.serving.service import _LRU, error_reply
 
 SPEC = dict(arch="lstm-1-8", chunk_len=16, batch_size=8, epochs=1)
 BENCHMARKS = ("999.specrand", "505.mcf")
@@ -26,9 +33,13 @@ def session(tmp_path_factory):
 
 @pytest.fixture()
 def service(session):
-    service = PredictionService(session=session)
-    yield service
-    service.stop()
+    return PredictionService(session=session)
+
+
+@pytest.fixture()
+def in_process(session):
+    with PredictionCluster(workers=0, session=session) as server:
+        yield server
 
 
 def test_lru_evicts_least_recent():
@@ -77,45 +88,77 @@ def test_batch_results_in_request_order(service, session):
         assert result.times == pytest.approx(expected[result.benchmark])
 
 
-def test_submit_micro_batches(service, session):
+def test_submit_micro_batches(in_process, session):
     futures = [
-        service.submit(ServeRequest(benchmark=name))
+        in_process.submit(ServeRequest(benchmark=name))
         for name in ("505.mcf", "999.specrand", "505.mcf", "999.specrand")
     ]
     results = [f.result(timeout=60) for f in futures]
     expected = session.predict_many(BENCHMARKS)
     for result in results:
-        assert result.times == pytest.approx(
-            expected[result.benchmark], rel=1e-6
-        )
+        # the in-process worker hands results over unencoded: the same
+        # bits as the one-shot session path
+        assert result.times == expected[result.benchmark]
+    assert in_process.stats()["completed"] == len(futures)
 
 
-def test_partial_batch_flushes_on_deadline_without_follow_up(session):
-    # regression: a lone request must flush when the batching window
-    # expires — with *zero* follow-up traffic it must not sit waiting
-    # for max_batch companions that will never arrive
-    service = PredictionService(
-        session=session, max_batch=64, batch_window_s=0.05
-    )
+def test_concurrent_clients_share_lane_batches_exactly(in_process, session):
+    # more client threads than cores, with a short switch interval: every
+    # answer stays exact, none is lost, and queued requests ship together
+    expected = session.predict_many(BENCHMARKS)
+    names = [BENCHMARKS[i % 2] for i in range(40)]
+    batches = REGISTRY.histogram("repro_dispatch_batch_size")
+    before = (batches.count, batches.total)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
-        start = time.monotonic()
-        result = service.submit(ServeRequest(benchmark="505.mcf")).result(
-            timeout=30
-        )
-        elapsed = time.monotonic() - start
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(
+                lambda name: in_process.predict(
+                    ServeRequest(benchmark=name), timeout=60
+                ),
+                names,
+            ))
     finally:
-        service.stop()
+        sys.setswitchinterval(interval)
+    assert [r.times for r in results] == [expected[n] for n in names]
+    stats = in_process.stats()
+    assert stats["completed"] == 40 and stats["pending"] == 0
+    assert batches.total - before[1] == 40
+    assert batches.count - before[0] < 40
+
+
+def test_lone_request_is_answered_without_follow_up(in_process):
+    # a lone request goes out as soon as its lane is idle — it never
+    # waits for companions that will never arrive
+    start = time.monotonic()
+    result = in_process.submit(ServeRequest(benchmark="505.mcf")).result(
+        timeout=30
+    )
     assert result.benchmark == "505.mcf"
-    # window (50ms) + one engine pass; far under any "hang" threshold
-    assert elapsed < 5.0
+    assert time.monotonic() - start < 5.0  # one engine pass, no hang
 
 
-def test_submit_surfaces_errors_per_request(service):
-    good = service.submit(ServeRequest(benchmark="505.mcf"))
-    bad = service.submit(ServeRequest(benchmark="not.a.benchmark"))
+def test_submit_surfaces_errors_per_request(in_process):
+    good = in_process.submit(ServeRequest(benchmark="505.mcf"))
+    bad = in_process.submit(ServeRequest(benchmark="not.a.benchmark"))
     assert np.isfinite(list(good.result(timeout=60).times.values())).all()
+    # in-process failures reach the caller as the exception raised
     with pytest.raises(UnknownBenchmarkError):
         bad.result(timeout=60)
+
+
+@pytest.mark.parametrize("exc, status", [
+    (UnknownBenchmarkError("x"), 404),  # a PredictionError, but unknown
+    (StoreError("no artifact"), 404),
+    (PredictionError("unknown config"), 400),
+    (ValueError("bad field"), 400),
+    (RuntimeError("boom"), 500),
+])
+def test_error_reply_maps_every_failure_once(exc, status):
+    code, message = error_reply(exc)
+    assert code == status
+    assert message == (str(exc) if status < 500 else "RuntimeError: boom")
 
 
 def test_unknown_config_is_clear_error(service):
@@ -183,13 +226,9 @@ def test_jit_off_service_matches_jit_on(session):
     off = PredictionService(
         scale="smoke", cache_dir=session.cache_dir, jit=False
     )
-    try:
-        request = ServeRequest(benchmark="505.mcf")
-        times_on = on.predict(request).times
-        times_off = off.predict(request).times
-    finally:
-        on.stop()
-        off.stop()
+    request = ServeRequest(benchmark="505.mcf")
+    times_on = on.predict(request).times
+    times_off = off.predict(request).times
     assert times_on.keys() == times_off.keys()
     for name in times_on:
         assert times_on[name] == pytest.approx(times_off[name], rel=1e-5)
