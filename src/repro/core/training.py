@@ -151,33 +151,23 @@ def naive_training_step_cost(
     mse_loss(col, wy[:, :, 0:1] * TICK_SCALE).backward()
     model.zero_grad()
 
-    # GC pauses during graph teardown otherwise dominate at small scales
-    import gc
+    start = time.perf_counter()
+    for x, y in batch_list:
+        optimizer.zero_grad()
+        preds, _, _ = model(Tensor(x))
+        mse_loss(preds, y * TICK_SCALE).backward()
+        optimizer.step()
+    reuse_time = (time.perf_counter() - start) / len(batch_list)
 
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        for x, y in batch_list:
+    start = time.perf_counter()
+    for x, y in batch_list:
+        for j in range(k):
             optimizer.zero_grad()
-            preds, _, _ = model(Tensor(x))
-            mse_loss(preds, y * TICK_SCALE).backward()
+            reps, _ = model.foundation(Tensor(x))
+            col = reps @ model.table.table[j : j + 1, :].transpose()
+            mse_loss(col, y[:, :, j : j + 1] * TICK_SCALE).backward()
             optimizer.step()
-        reuse_time = (time.perf_counter() - start) / len(batch_list)
-
-        start = time.perf_counter()
-        for x, y in batch_list:
-            for j in range(k):
-                optimizer.zero_grad()
-                reps, _ = model.foundation(Tensor(x))
-                col = reps @ model.table.table[j : j + 1, :].transpose()
-                mse_loss(col, y[:, :, j : j + 1] * TICK_SCALE).backward()
-                optimizer.step()
-        naive_time = (time.perf_counter() - start) / len(batch_list)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    naive_time = (time.perf_counter() - start) / len(batch_list)
 
     return {
         "configs": float(k),

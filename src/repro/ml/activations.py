@@ -1,17 +1,19 @@
 """Shared gate math: the single source of truth for activation kernels.
 
-Three consumers need *identical* numerics for the recurrent gate
+Four consumers need *identical* numerics for the recurrent gate
 nonlinearities:
 
 * the autograd engine (:meth:`repro.ml.autograd.Tensor.sigmoid`) — the
-  training forward;
+  per-step cell reference;
+* the fused recurrent ops in :mod:`repro.ml.recurrent` — the training
+  forward, via the in-place :func:`stable_sigmoid_`;
 * the hand-fused reference kernels in :mod:`repro.ml.inference` — the
   always-on no-grad serving path;
 * the code generator in :mod:`repro.jit` — whose emitted modules import
   the in-place variants below directly.
 
 Keeping every formulation here means a numerical change lands in all
-three paths at once (and the parity suite pins them to each other).
+paths at once (and the parity suites pin them to each other).
 :func:`stable_sigmoid_` performs exactly the same element-wise
 operations as the allocating :func:`stable_sigmoid` — ``where(x >= 0,
 1/(1+e), e/(1+e))`` with ``e = exp(-|x|)``.  The JIT tier uses
@@ -57,8 +59,8 @@ def stable_sigmoid_(
     """In-place :func:`stable_sigmoid` over ``x`` using caller scratch.
 
     ``e`` (same shape/dtype as ``x``) and ``mask`` (same shape, bool)
-    are scratch buffers so repeated calls — one per timestep in a
-    compiled kernel — allocate nothing.  Element-for-element the same
+    are scratch buffers so repeated calls — one per timestep of a
+    recurrent layer — allocate nothing.  Element-for-element the same
     operations as :func:`stable_sigmoid`: the numerator is 1 where
     ``x >= 0`` and ``e`` elsewhere, then one division by ``1 + e``.
     """
@@ -66,8 +68,9 @@ def stable_sigmoid_(
     np.negative(e, out=e)
     np.exp(e, out=e)  # e = exp(-|x|)
     np.greater_equal(x, 0.0, out=mask)
-    np.copyto(x, e)
-    np.copyto(x, 1.0, where=mask)  # numerator: 1 where x >= 0, else e
+    # numerator: as 0 <= e <= 1, max(e, mask) is 1 where x >= 0 and e
+    # elsewhere (the same values a masked copy of 1.0 gives, at less cost)
+    np.maximum(e, mask, out=x)
     e += 1.0  # denominator: 1 + e
     x /= e
     return x

@@ -7,8 +7,10 @@ closures in reverse topological order, accumulating into ``.grad``.
 Broadcasting follows NumPy semantics; backward passes reduce gradients back
 to the parent shapes (``_unbroadcast``).  Only the ops the PerfVec models
 need are implemented, each kept as a single fused NumPy expression per
-direction — the vectorization idiom the HPC guides prescribe (no Python
-loops inside ops; loops only over time steps at the layer level).
+direction (no Python loops inside ops).  Recurrence is the one exception:
+:func:`repro.ml.recurrent.lstm_layer` and :func:`~repro.ml.recurrent.gru_layer`
+are single nodes whose forward and backward run the time loop over a whole
+chunk, so a training step builds the same few nodes at any chunk length.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Batched no-grad inference kernels (the serving-side forward pass).
 
-Training builds an autograd graph: every LSTM timestep allocates gate
-Tensors, backward closures and parent tuples.  Serving needs none of that,
-so this module re-implements the forward pass of the recurrent layers as
-fused NumPy kernels over raw ndarrays:
+Training runs each recurrent layer as one autograd node that keeps every
+timestep's gate activations and states for its backward pass.  Serving
+needs none of that, so this module re-implements the forward pass of the
+recurrent layers as fused NumPy kernels over raw ndarrays:
 
 * the input-to-gate projection of *every* timestep is computed in one
   ``(B*T, F) @ (F, 4H)`` BLAS call before the time loop starts;

@@ -1,18 +1,35 @@
 """Recurrent layers: LSTM (uni/bi-directional, multi-layer) and GRU.
 
-Cells are fused: one matmul produces all gate pre-activations per step, so
-the per-step graph stays small and the heavy lifting is BLAS.  Layers accept
-and return explicit hidden state, enabling the truncated-BPTT streaming that
-PerfVec training uses (each contiguous trace chunk continues from the
-detached final state of the previous chunk — the causal analogue of the
-paper's c-instruction context window).
+Training runs each recurrent layer over a whole ``(B, T)`` chunk as one
+autograd node (:func:`lstm_layer`, :func:`gru_layer`), so a training
+step's graph does not grow with the chunk length:
+
+* the forward pass computes the input projection of every timestep in one
+  time-major ``(T·B, F) @ (F, G·H)`` GEMM, then runs the recurrence with
+  one ``(B, H) @ (H, G·H)`` matmul per step, writing gate activations and
+  states into preallocated ``(T, B, ·)`` buffers.  It performs the cell's
+  element operations in the cell's order, so it matches an unrolled
+  :meth:`LSTMCell.forward` / :meth:`GRUCell.forward`, which stay as the
+  per-step reference the tests compare against;
+* the backward pass computes the loop-invariant gate derivatives for all
+  timesteps at once and keeps only the ``dh``/``dc`` recurrence and one
+  ``(B, G·H) @ (G·H, H)`` matmul per step in the reversed loop; the weight,
+  bias and input gradients are one GEMM or reduction each over ``T·B``
+  rows.
+
+Layers accept and return explicit hidden state, enabling the truncated-BPTT
+streaming that PerfVec training uses (each contiguous trace chunk continues
+from the detached final state of the previous chunk — the causal analogue
+of the paper's c-instruction context window).  With autograd off they run
+the fused inference kernels of :mod:`repro.ml.inference` instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.autograd import Tensor, concat, grad_enabled, stack
+from repro.ml.activations import sigmoid_scratch, stable_sigmoid_
+from repro.ml.autograd import Tensor, concat, grad_enabled
 from repro.ml.inference import gru_infer, lstm_infer
 from repro.ml.layers import Linear, Module
 
@@ -68,6 +85,171 @@ class GRUCell(Module):
         return (1.0 - z) * n + z * h
 
 
+def _input_gates(cell, x: Tensor, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Time-major inputs ``(T·B, F)`` and ``x@Wx + b`` for all steps as
+    ``(T, B, G·H)``, from one GEMM."""
+    batch, time, feat = x.shape
+    xs = np.ascontiguousarray(x.data.transpose(1, 0, 2), dtype=dtype)
+    xs = xs.reshape(time * batch, feat)
+    gates = (xs @ cell.xw.weight.data).reshape(time, batch, -1)
+    gates += cell.xw.bias.data
+    return xs, gates
+
+
+def _layer_grads(cell, x: Tensor, xs: np.ndarray, hs: np.ndarray,
+                 dgx: np.ndarray, dhz: np.ndarray) -> None:
+    """Accumulate one layer's parameter and input gradients.
+
+    ``dgx``/``dhz`` are the ``(T·B, G·H)`` gradients of the input-side and
+    recurrent-side gate pre-activations; each gradient below is one GEMM
+    or reduction over all ``T·B`` rows.
+    """
+    wx, bx, wh = cell.xw.weight, cell.xw.bias, cell.hw.weight
+    if wx.requires_grad:
+        wx._accumulate(xs.T @ dgx)
+    if bx.requires_grad:
+        bx._accumulate(dgx.sum(axis=0))
+    if wh.requires_grad:
+        wh._accumulate(hs[:-1].reshape(len(dhz), -1).T @ dhz)
+    if x.requires_grad:
+        batch, time, feat = x.shape
+        dx = (dgx @ wx.data.T).reshape(time, batch, feat)
+        x._accumulate(dx.transpose(1, 0, 2))
+
+
+def lstm_layer(cell: LSTMCell, x: Tensor, h0: np.ndarray, c0: np.ndarray
+               ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """One LSTM layer over a ``(B, T, F)`` chunk as a single autograd node.
+
+    ``h0``/``c0`` are the ``(B, H)`` state arrays entering the chunk
+    (detached: truncated BPTT stops at chunk boundaries).  Returns the
+    outputs ``(B, T, H)`` and the final ``(h, c)`` as detached arrays.
+    """
+    wx, bx, wh = cell.xw.weight, cell.xw.bias, cell.hw.weight
+    batch, time, _ = x.shape
+    H = cell.hidden_size
+    dtype = np.result_type(x.data, wx.data, bx.data, wh.data, h0, c0)
+    # gates[t]: pre-activations of step t, then its activations [i, f, g, o]
+    xs, gates = _input_gates(cell, x, dtype)
+    hs = np.empty((time + 1, batch, H), dtype)  # hs[t] is the state entering step t
+    cs = np.empty((time + 1, batch, H), dtype)
+    tanh_cs = np.empty((time, batch, H), dtype)
+    hs[0], cs[0] = h0, c0
+    hz = np.empty((batch, 4 * H), dtype)
+    tmp = np.empty((batch, H), dtype)
+    e, mask = sigmoid_scratch((batch, 4 * H), dtype)
+    for t in range(time):
+        z = gates[t]
+        np.matmul(hs[t], wh.data, out=hz)
+        z += hz
+        i, f, g, o = z[:, :H], z[:, H : 2 * H], z[:, 2 * H : 3 * H], z[:, 3 * H :]
+        np.tanh(g, out=tmp)
+        stable_sigmoid_(z, e, mask)  # i, f and o; g is put back below
+        g[...] = tmp
+        np.multiply(f, cs[t], out=cs[t + 1])
+        np.multiply(i, g, out=tmp)
+        cs[t + 1] += tmp
+        np.tanh(cs[t + 1], out=tanh_cs[t])
+        np.multiply(o, tanh_cs[t], out=hs[t + 1])
+
+    def backward(grad: np.ndarray) -> None:
+        dout = grad.transpose(1, 0, 2)
+        g4 = gates.reshape(time, batch, 4, H)
+        i, f, g, o = (g4[:, :, k] for k in range(4))
+        # loop-invariant factors for all steps; the loop then only forms
+        # dc_t += dh_t * dc_dh, dz[i, f, g] = dc_t * a[:3], dz[o] = dh_t * a[3]
+        a = np.empty_like(g4)
+        np.multiply(g, i * (1.0 - i), out=a[:, :, 0])
+        np.multiply(cs[:-1], f * (1.0 - f), out=a[:, :, 1])
+        np.multiply(i, 1.0 - g * g, out=a[:, :, 2])
+        np.multiply(tanh_cs, o * (1.0 - o), out=a[:, :, 3])
+        dc_dh = o * (1.0 - tanh_cs * tanh_cs)
+        dz = np.empty_like(g4)
+        dh = np.zeros((batch, H), dtype)  # carries dz[t + 1] @ Wh^T
+        dc = np.zeros((batch, H), dtype)  # carries dc[t + 1] * f[t + 1]
+        wh_t = wh.data.T
+        for t in range(time - 1, -1, -1):
+            dh += dout[t]
+            dc += dh * dc_dh[t]
+            np.multiply(dc[:, None, :], a[t, :, :3], out=dz[t, :, :3])
+            np.multiply(dh, a[t, :, 3], out=dz[t, :, 3])
+            dc *= f[t]
+            np.matmul(dz[t].reshape(batch, 4 * H), wh_t, out=dh)
+        dz = dz.reshape(time * batch, 4 * H)
+        _layer_grads(cell, x, xs, hs, dz, dz)
+
+    out = Tensor._result(hs[1:].transpose(1, 0, 2), (x, wx, bx, wh), backward)
+    return out, hs[time].copy(), cs[time].copy()
+
+
+def gru_layer(cell: GRUCell, x: Tensor, h0: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """One GRU layer over a ``(B, T, F)`` chunk as a single autograd node.
+
+    ``h0`` is the detached ``(B, H)`` state array entering the chunk.
+    Returns the outputs ``(B, T, H)`` and the final ``h`` as a detached
+    array.
+    """
+    wx, bx, wh = cell.xw.weight, cell.xw.bias, cell.hw.weight
+    batch, time, _ = x.shape
+    H = cell.hidden_size
+    dtype = np.result_type(x.data, wx.data, bx.data, wh.data, h0)
+    # gates[t]: input-side pre-activations of step t, then [r, z, n]
+    xs, gates = _input_gates(cell, x, dtype)
+    hzs = np.empty_like(gates)  # recurrent-side pre-activations h @ Wh
+    hs = np.empty((time + 1, batch, H), dtype)  # hs[t] is the state entering step t
+    hs[0] = h0
+    tmp = np.empty((batch, H), dtype)
+    e, mask = sigmoid_scratch((batch, 2 * H), dtype)
+    for t in range(time):
+        xz, hz = gates[t], hzs[t]
+        np.matmul(hs[t], wh.data, out=hz)
+        rz = xz[:, : 2 * H]
+        rz += hz[:, : 2 * H]
+        stable_sigmoid_(rz, e, mask)
+        r, z, n = xz[:, :H], xz[:, H : 2 * H], xz[:, 2 * H :]
+        np.multiply(r, hz[:, 2 * H :], out=tmp)
+        n += tmp
+        np.tanh(n, out=n)
+        # h_t = (1 - z) * n + z * h_{t-1}
+        np.subtract(1.0, z, out=tmp)
+        np.multiply(tmp, n, out=hs[t + 1])
+        np.multiply(z, hs[t], out=tmp)
+        hs[t + 1] += tmp
+
+    def backward(grad: np.ndarray) -> None:
+        dout = grad.transpose(1, 0, 2)
+        g3 = gates.reshape(time, batch, 3, H)
+        r, z, n = (g3[:, :, k] for k in range(3))
+        # loop-invariant factors for all steps; the loop then only forms
+        # the recurrent-side gradient dh_t * a_h (n's share scaled by r),
+        # and the input side dh_t * a follows after it
+        a = np.empty_like(g3)
+        np.multiply(1.0 - z, 1.0 - n * n, out=a[:, :, 2])
+        np.multiply(a[:, :, 2] * hzs[:, :, 2 * H :], r * (1.0 - r),
+                    out=a[:, :, 0])
+        np.multiply(hs[:-1] - n, z * (1.0 - z), out=a[:, :, 1])
+        a_h = a.copy()
+        a_h[:, :, 2] *= r
+        dhz = np.empty_like(g3)
+        dhs = np.empty((time, batch, H), dtype)
+        dh = np.zeros((batch, H), dtype)  # carries what step t + 1 sends h_t
+        direct = np.empty((batch, H), dtype)
+        wh_t = wh.data.T
+        for t in range(time - 1, -1, -1):
+            dh += dout[t]
+            dhs[t] = dh
+            np.multiply(dh[:, None, :], a_h[t], out=dhz[t])
+            np.multiply(dh, z[t], out=direct)
+            np.matmul(dhz[t].reshape(batch, 3 * H), wh_t, out=dh)
+            dh += direct
+        dgx = dhs[:, :, None, :] * a
+        _layer_grads(cell, x, xs, hs, dgx.reshape(time * batch, 3 * H),
+                     dhz.reshape(time * batch, 3 * H))
+
+    out = Tensor._result(hs[1:].transpose(1, 0, 2), (x, wx, bx, wh), backward)
+    return out, hs[time].copy()
+
+
 class LSTM(Module):
     """Multi-layer (optionally bidirectional) LSTM over (B, T, F) input."""
 
@@ -103,14 +285,6 @@ class LSTM(Module):
             for _ in range(self.num_layers)
         ]
 
-    def _run_direction(self, cell, steps: list[Tensor], h0, c0):
-        h, c = h0, c0
-        outputs = []
-        for x in steps:
-            h, c = cell(x, h, c)
-            outputs.append(h)
-        return outputs, h, c
-
     def forward(
         self, x: Tensor, state: list[tuple[np.ndarray, np.ndarray]] | None = None
     ) -> tuple[Tensor, list[tuple[np.ndarray, np.ndarray]]]:
@@ -122,30 +296,23 @@ class LSTM(Module):
             # repro.jit compiled tier) serve the training-code call sites
             out, final_state = lstm_infer(self, _raw(x), state)
             return Tensor(out), final_state
-        batch, time, _ = x.shape
+        batch = x.shape[0]
         if state is None:
             state = self.initial_state(batch)
-        steps = [x[:, t, :] for t in range(time)]
         final_state: list[tuple[np.ndarray, np.ndarray]] = []
         for layer in range(self.num_layers):
             h0, c0 = state[layer]
-            fwd, h_last, c_last = self._run_direction(
-                self.cells[layer], steps, Tensor(h0), Tensor(c0)
-            )
-            final_state.append((h_last.data.copy(), c_last.data.copy()))
+            out, h, c = lstm_layer(self.cells[layer], x, h0, c0)
+            final_state.append((h, c))
             if self.bidirectional:
                 # reverse direction always starts from zero within the chunk
-                H = self.hidden_size
-                z = Tensor(np.zeros((batch, H), dtype=np.float32))
-                rev, _, _ = self._run_direction(
-                    self.cells_rev[layer], steps[::-1], z, z
+                zeros = np.zeros((batch, self.hidden_size), dtype=np.float32)
+                rev, _, _ = lstm_layer(
+                    self.cells_rev[layer], x[:, ::-1], zeros, zeros
                 )
-                rev = rev[::-1]
-                steps = [concat([f, r], axis=-1) for f, r in zip(fwd, rev)]
-            else:
-                steps = fwd
-        outputs = stack(steps, axis=1)
-        return outputs, final_state
+                out = concat([out, rev[:, ::-1]], axis=-1)
+            x = out
+        return x, final_state
 
     def infer(self, x, state=None):
         """Fused no-grad forward (see :func:`repro.ml.inference.lstm_infer`)."""
@@ -184,21 +351,13 @@ class GRU(Module):
         if not grad_enabled():
             out, final_state = gru_infer(self, _raw(x), state)
             return Tensor(out), final_state
-        batch, time, _ = x.shape
         if state is None:
-            state = self.initial_state(batch)
-        steps = [x[:, t, :] for t in range(time)]
+            state = self.initial_state(x.shape[0])
         final_state: list[np.ndarray] = []
-        for layer in range(self.num_layers):
-            h = Tensor(state[layer])
-            outs = []
-            cell = self.cells[layer]
-            for xt in steps:
-                h = cell(xt, h)
-                outs.append(h)
-            final_state.append(h.data.copy())
-            steps = outs
-        return stack(steps, axis=1), final_state
+        for layer, cell in enumerate(self.cells):
+            x, h = gru_layer(cell, x, state[layer])
+            final_state.append(h)
+        return x, final_state
 
     def infer(self, x, state=None):
         """Fused no-grad forward (see :func:`repro.ml.inference.gru_infer`)."""

@@ -5,6 +5,24 @@ import os
 import pytest
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _hermetic_cache_root(tmp_path_factory):
+    """Send every cache and results write of the session to a tmp root.
+
+    Stored models are found by spec, provenance and dataset fingerprint,
+    not by code, so a suite writing into the working tree's
+    ``.repro_cache/`` would on its next run load models an older build
+    trained and never exercise the current training code on those paths.
+    A fresh root per session makes a second run behave like the first
+    and leaves the working tree untouched.
+    """
+    root = tmp_path_factory.mktemp("repro-root")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(root / "cache"))
+        patch.setenv("REPRO_RESULTS_DIR", str(root / "results"))
+        yield
+
+
 @pytest.fixture(autouse=True)
 def _isolate_repro_env():
     """Undo ``REPRO_*`` env mutations after every test.

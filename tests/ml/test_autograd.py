@@ -94,6 +94,10 @@ def test_reshape_transpose_grads():
 def test_getitem_grads():
     a = leaf((4, 5), 20)
     check_gradients(lambda: (a[1:3, ::2] ** 2).sum(), [a])
+    # repeated rows (embedding lookups) accumulate; a reversed slice (the
+    # bi-LSTM's time reversal) sends each gradient back to its source index
+    check_gradients(lambda: (a[[0, 2, 0]] ** 2).sum(), [a])
+    check_gradients(lambda: (a[:, ::-1] * a).sum(), [a])
 
 
 def test_concat_stack_grads():
