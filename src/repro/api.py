@@ -7,7 +7,7 @@ features → store-backed models:
 >>> session = Session(scale="smoke")
 >>> result = session.train()                    # trains or reuses an artifact
 >>> session.predict("505.mcf")                  # {config name: predicted ticks}
->>> session.predict_many(["505.mcf", "519.lbm"])  # one batched engine pass
+>>> session.predict_many(["505.mcf", "519.lbm"])  # one model load, one call
 >>> session.evaluate(["505.mcf"])               # {benchmark: ErrorSummary}
 
 ``train`` consults the :class:`~repro.models.store.ModelStore` first: an
@@ -15,9 +15,10 @@ artifact with the same family, spec, training provenance and dataset
 fingerprint is loaded instead of retrained, so warm sessions — including
 **fresh processes** — skip straight to serving. ``predict`` never
 trains; it refuses with a clear error when no artifact exists.
-``predict_many`` is the batched serving path: every benchmark's cached
-feature stream rides one no-grad inference pass
-(:class:`repro.serving.PredictionService` builds on it for HTTP traffic).
+``predict_many`` is the batched serving path: one model load answers
+every distinct benchmark, each cached feature stream through its own
+no-grad engine pass (:class:`repro.serving.PredictionService` keeps
+models, streams and answers hot for HTTP traffic).
 
 ``run_pipeline`` executes a declarative :mod:`repro.pipeline` spec (by
 name, object or file path) at the session's scale with per-stage
@@ -354,12 +355,12 @@ class Session:
         family: str = "perfvec",
         signature_times: dict | None = None,
     ) -> dict[str, dict[str, float]]:
-        """Batched serving: every benchmark through **one** engine pass.
+        """Batched serving: one model load, one ``predict_batch`` call.
 
-        Returns ``{benchmark: {config name: predicted ticks}}``.
-        ``signature_times`` maps benchmark name to its measured times on
-        the signature configurations (required by ``cross_program``
-        only).
+        Returns ``{benchmark: {config name: predicted ticks}}``; a
+        repeated name is answered once.  ``signature_times`` maps
+        benchmark name to its measured times on the signature
+        configurations (required by ``cross_program`` only).
         """
         model = self.model(artifact, family)
         signature_times = signature_times or {}
@@ -367,7 +368,7 @@ class Session:
             self.serve_request(
                 model, name, signature_times=signature_times.get(name)
             )
-            for name in benchmarks
+            for name in dict.fromkeys(benchmarks)
         ]
         with obs.span(
             "session.predict", family=family, benchmarks=len(requests)

@@ -39,11 +39,7 @@ from repro.core.training import FoundationTrainConfig, train_foundation
 from repro.features.dataset import TraceDataset
 from repro.ml.layers import MLP
 from repro.ml.trainer import TrainHistory
-from repro.models.base import (
-    PerformanceModel,
-    PredictRequest,
-    coalesce_streams,
-)
+from repro.models.base import PerformanceModel, PredictRequest
 from repro.models.registry import register
 from repro.frontends import DEFAULT_FRONTEND, get_frontend
 from repro.uarch.config import MicroarchConfig, config_from_dict
@@ -172,21 +168,19 @@ class PerfVecModel(PerformanceModel):
     def _predict_batch(
         self, requests: list[PredictRequest]
     ) -> list[np.ndarray]:
-        # one no-grad engine pass per *unique* stream (duplicates
-        # coalesce onto it).  Chunk batching stays within a stream on
-        # purpose: packing chunks of co-batched requests into shared
-        # BLAS calls makes results depend on traffic composition at the
-        # ULP level, and serving promises answers bitwise identical to
-        # the solo path no matter what else is in the batch.
-        streams, rows = coalesce_streams(requests)
-        times = [
+        # one no-grad engine pass per request (callers collapse repeats
+        # first).  Chunk batching stays within a stream on purpose:
+        # packing chunks of co-batched requests into shared BLAS calls
+        # makes results depend on traffic composition at the ULP level,
+        # and serving promises answers bitwise identical to the solo
+        # path no matter what else is in the batch.
+        return [
             self.perfvec.predict_many_program_times(
-                [stream], chunk_len=self.chunk_len,
+                [request.require_features()], chunk_len=self.chunk_len,
                 batch_size=self.infer_batch,
             )[0]
-            for stream in streams
+            for request in requests
         ]
-        return [times[row] for row in rows]
 
     def predict_features(self, features: np.ndarray) -> np.ndarray:
         """Total time (ticks) on every known config from a ``[n, 51]``

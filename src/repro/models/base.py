@@ -13,8 +13,8 @@ implements the same surface:
   Implemented once, on the base class, over the batched
   ``predict_batch(requests)`` path: the dataset is turned into
   :class:`PredictRequest` items and every family answers the whole batch
-  at once (PerfVec runs all feature streams through one no-grad engine
-  pass; parameter families answer from their fitted state).
+  at once (PerfVec runs each feature stream through its own no-grad
+  engine pass; parameter families answer from their fitted state).
 * ``evaluate(dataset)`` — :class:`~repro.core.errors.ErrorSummary` per
   benchmark against the dataset's simulated ground truth.
 * ``save(path)`` / :func:`load_model` — artifact persistence: a
@@ -91,30 +91,6 @@ class PredictRequest:
                 f"request for {self.benchmark!r} carries no trace length"
             )
         return self.n_instructions
-
-
-def coalesce_streams(
-    requests: Sequence[PredictRequest],
-) -> tuple[list[np.ndarray], list[int]]:
-    """Unique feature streams + per-request row indices into them.
-
-    Deduplication is by object identity: the feature caches hand repeated
-    requests for one benchmark the same ndarray, so a hot benchmark
-    becomes one engine work item, not N.  Returns ``(streams, rows)``
-    with ``streams[rows[i]]`` being request ``i``'s stream.
-    """
-    streams: list[np.ndarray] = []
-    index_of: dict[int, int] = {}
-    rows = []
-    for request in requests:
-        features = request.require_features()
-        position = index_of.get(id(features))
-        if position is None:
-            position = len(streams)
-            index_of[id(features)] = position
-            streams.append(features)
-        rows.append(position)
-    return streams, rows
 
 
 class PerformanceModel(abc.ABC):

@@ -48,3 +48,19 @@ def _isolate_repro_env():
             os.environ.pop(var, None)
         else:
             os.environ[var] = value
+
+
+@pytest.fixture()
+def engine_passes(monkeypatch):
+    """Streams per PerfVec engine pass, one entry per pass."""
+    from repro.core.perfvec import PerfVec
+
+    passes = []
+    original = PerfVec.program_representations
+
+    def counted(self, streams, *args, **kwargs):
+        passes.append(len(streams))
+        return original(self, streams, *args, **kwargs)
+
+    monkeypatch.setattr(PerfVec, "program_representations", counted)
+    return passes

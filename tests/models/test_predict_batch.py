@@ -31,9 +31,13 @@ def test_perfvec_batch_matches_single_requests(perfvec, tiny_dataset):
         np.testing.assert_allclose(result, alone, rtol=1e-6)
 
 
-def test_perfvec_coalesces_identical_streams(perfvec, tiny_dataset):
+def test_perfvec_runs_one_pass_per_request(perfvec, tiny_dataset,
+                                           engine_passes):
+    # repeats collapse in the callers (serving memo, predict_many); the
+    # model answers each request with its own, identical, engine pass
     request = perfvec.dataset_requests(tiny_dataset)[0]
     twice = perfvec.predict_batch([request, request])
+    assert engine_passes == [1, 1]
     np.testing.assert_array_equal(twice[0], twice[1])
 
 

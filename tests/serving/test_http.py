@@ -176,10 +176,10 @@ def test_error_responses_carry_request_id_in_body(endpoint):
 def test_metrics_endpoint_parses_with_core_series(endpoint):
     from repro.obs.metrics import parse_prometheus
 
-    # two predicts: the first may cold-load the model, the second is
-    # guaranteed to hit the warm cache
-    _post(f"{endpoint}/v1/predict", {"benchmark": "505.mcf"})
-    _post(f"{endpoint}/v1/predict", {"benchmark": "505.mcf"})
+    # the repeat hits the answer memo; a memo miss on the loaded model
+    # (999.specrand here, or in an earlier test) hits the model LRU
+    for name in ("505.mcf", "505.mcf", "999.specrand"):
+        _post(f"{endpoint}/v1/predict", {"benchmark": name})
     status, headers, body = _get_raw(f"{endpoint}/v1/metrics")
     assert status == 200
     assert headers["Content-Type"].startswith("text/plain")
@@ -187,8 +187,10 @@ def test_metrics_endpoint_parses_with_core_series(endpoint):
     # in-process requests ride the dispatcher's lanes too
     assert samples["repro_dispatch_batch_size_count"] >= 1
     assert samples["repro_dispatch_latency_seconds_count"] >= 1
-    assert samples['repro_serving_cache_total{cache="model",outcome="hit"}'] \
-        >= 1
+    for cache in ("answer", "model"):
+        assert samples[
+            f'repro_serving_cache_total{{cache="{cache}",outcome="hit"}}'
+        ] >= 1
     assert any(k.startswith('repro_http_responses_total{status="200"}')
                for k in samples)
     # one process, one registry: no series is repeated under a worker label

@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro import jit
 from repro.api import Session
 from repro.core.errors import PredictionError, UnknownBenchmarkError
 from repro.models import StoreError
@@ -67,11 +68,24 @@ def test_config_filter(service, session):
 
 
 def test_model_and_feature_caches_warm_up(service):
+    def hits(cache):
+        return REGISTRY.counter(
+            "repro_serving_cache_total", cache=cache, outcome="hit"
+        ).value
+
+    before = {cache: hits(cache) for cache in ("model", "feature")}
     assert len(service._models) == 0 and len(service._features) == 0
     service.predict(ServeRequest(benchmark="505.mcf"))
     assert len(service._models) == 1 and len(service._features) == 1
-    service.predict(ServeRequest(benchmark="505.mcf"))
-    assert len(service._models) == 1 and len(service._features) == 1
+    # answer-memo misses reach the LRUs: another benchmark reuses the
+    # warm model, another kernel tier reuses the warm stream too
+    service.predict(ServeRequest(benchmark="999.specrand"))
+    assert len(service._models) == 1 and len(service._features) == 2
+    with jit.context(enabled=False):
+        service.predict(ServeRequest(benchmark="505.mcf"))
+    assert len(service._models) == 1 and len(service._features) == 2
+    assert hits("model") - before["model"] == 2
+    assert hits("feature") - before["feature"] == 1
 
 
 def test_batch_results_in_request_order(service, session):
@@ -82,7 +96,7 @@ def test_batch_results_in_request_order(service, session):
     ]
     results = service.predict_batch(requests)
     assert [r.benchmark for r in results] == [r.benchmark for r in requests]
-    assert results[0].times == results[2].times  # coalesced, same answer
+    assert results[0].times == results[2].times  # one key, one answer
     expected = session.predict_many(["505.mcf", "999.specrand"])
     for result in results:
         assert result.times == pytest.approx(expected[result.benchmark])
@@ -233,3 +247,151 @@ def test_jit_off_service_matches_jit_on(session):
     for name in times_on:
         assert times_on[name] == pytest.approx(times_off[name], rel=1e-5)
     assert off.stats()["jit"]["enabled"] is False
+
+
+# -- the answer memo ----------------------------------------------------------
+@pytest.mark.parametrize("family, name", [
+    ("perfvec", "505.mcf"),
+    ("actboost", "999.specrand"),  # answers its fitted benchmark only
+])
+def test_memo_hits_equal_predict_many(service, session, family, name):
+    session.train(family=family, benchmarks=BENCHMARKS,
+                  **(SPEC if family == "perfvec" else {"n_estimators": 3}))
+    request = ServeRequest(benchmark=name, family=family)
+    miss = service.predict(request)
+    hit = service.predict(request)
+    expected = session.predict_many([name], family=family)[name]
+    assert miss.times == expected and hit.times == expected
+
+
+def test_memo_hit_fetches_no_features_and_runs_no_engine(
+    service, engine_passes, monkeypatch
+):
+    request = ServeRequest(benchmark="505.mcf")
+    service.predict(request)
+    assert engine_passes == [1]
+    fetched = []
+    monkeypatch.setattr(service, "features", fetched.append)
+    service.predict(request)
+    assert engine_passes == [1] and fetched == []
+
+
+def test_repeats_in_one_batch_share_one_engine_pass(service, engine_passes):
+    first, second = service.predict_batch(
+        [ServeRequest(benchmark="505.mcf")] * 2
+    )
+    assert engine_passes == [1]
+    assert first.times == second.times and first.times is not second.times
+
+
+def test_predict_many_answers_each_name_once(session, engine_passes):
+    many = session.predict_many(["505.mcf", "505.mcf", "999.specrand"])
+    assert engine_passes == [1, 1]
+    assert list(many) == ["505.mcf", "999.specrand"]
+
+
+def test_each_artifact_answers_from_its_own_entries(tmp_path):
+    # a second artifact of the family, reached by pinning or by a swap,
+    # never reads the first one's answers
+    session = Session(scale="smoke", cache_dir=str(tmp_path))
+    old_id = session.train(benchmarks=BENCHMARKS, **SPEC).artifact_id
+    request = ServeRequest(benchmark="505.mcf")
+    with PredictionCluster(workers=0, session=session) as server:
+        old = server.predict(request, timeout=120)
+        new_id = session.train(
+            benchmarks=BENCHMARKS, **{**SPEC, "epochs": 2}
+        ).artifact_id
+        server.swap(new_id)
+        new = server.predict(request, timeout=120)
+        pinned = server.predict(
+            ServeRequest(benchmark="505.mcf", artifact=old_id), timeout=120
+        )
+        (worker,) = server.stats()["worker_stats"].values()
+    assert (old.artifact, new.artifact) == (old_id, new_id)
+    assert new.times == session.predict("505.mcf", artifact=new_id)
+    assert new.times != old.times
+    assert pinned.times == old.times
+    assert worker["answers_cached"] == 2
+
+
+def test_kernel_tier_is_part_of_the_key(service, session):
+    request = ServeRequest(benchmark="505.mcf")
+    service.predict(request)  # the compiled tier's answer is now held
+    with jit.context(enabled=False):
+        reference = service.predict(request).times
+    off = Session(scale="smoke", cache_dir=session.cache_dir, jit=False)
+    assert reference == off.predict_many(["505.mcf"])["505.mcf"]
+    assert service.stats()["answers_cached"] == 2
+
+
+def test_signature_times_are_part_of_the_key(service, session):
+    session.train(family="cross_program", benchmarks=BENCHMARKS)
+    answers = [
+        service.predict(ServeRequest(
+            benchmark="505.mcf", family="cross_program",
+            signature_times=signature,
+        )).times
+        for signature in ((1e6, 2e6, 3e6), (2e6, 4e6, 6e6))
+    ]
+    assert answers[0] != answers[1]
+    assert answers[1] == session.predict(
+        "505.mcf", family="cross_program", signature_times=(2e6, 4e6, 6e6)
+    )
+
+
+def test_mutating_a_result_leaves_later_answers_alone(service):
+    request = ServeRequest(benchmark="505.mcf")
+    first = service.predict(request)
+    expected = dict(first.times)
+    for name in first.times:
+        first.times[name] = -1.0
+    assert service.predict(request).times == expected
+
+
+def test_one_entry_caches_miss_on_every_alternating_request(
+    session, engine_passes
+):
+    # the bound is model_cache x feature_cache answers: with one-entry
+    # caches a round-robin over two benchmarks never hits
+    service = PredictionService(
+        session=session, model_cache=1, feature_cache=1
+    )
+    for name in BENCHMARKS * 3:
+        service.predict(ServeRequest(benchmark=name))
+    assert len(engine_passes) == 6
+    assert service.stats()["answers_cached"] == 1
+
+
+def test_concurrent_callers_share_one_memo_exactly(service, session):
+    # more threads than cores, a short switch interval: every answer is
+    # exact and the memo ends with one entry per key
+    expected = session.predict_many(BENCHMARKS)
+    names = [BENCHMARKS[i % 2] for i in range(40)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(
+                lambda name: service.predict(ServeRequest(benchmark=name)),
+                names,
+            ))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.times for r in results] == [expected[n] for n in names]
+    assert service.stats()["answers_cached"] == 2
+
+
+def test_answer_counters_and_stats_track_the_memo(service):
+    def count(outcome):
+        return REGISTRY.counter(
+            "repro_serving_cache_total", cache="answer", outcome=outcome
+        ).value
+
+    before = (count("hit"), count("miss"))
+    assert service.stats()["answers_cached"] == 0
+    service.predict_batch([ServeRequest(benchmark="505.mcf")] * 2)
+    service.predict(ServeRequest(benchmark="505.mcf"))
+    service.predict(ServeRequest(benchmark="999.specrand"))
+    # the in-batch repeat was not held when looked up: a miss
+    assert (count("hit") - before[0], count("miss") - before[1]) == (1, 3)
+    assert service.stats()["answers_cached"] == 2
