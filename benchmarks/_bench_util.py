@@ -137,7 +137,7 @@ def metrics_block() -> dict:
 
     Counters/gauges flatten to ``{series: value}``; histograms keep only
     their p50/p95/p99 summary — enough to answer "what did the serving/
-    cache/jit machinery do during this run" without the full buckets.
+    cache machinery do during this run" without the full buckets.
     """
     from repro import obs
     from repro.obs.metrics import _fmt_labels

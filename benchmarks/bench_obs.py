@@ -7,7 +7,7 @@ no-op, and the enabled path appends one JSON line per span to an
 on the two hot paths the spans actually instrument:
 
 * **predict** — ``Session.predict_many`` over a warm serving session
-  (spans: ``session.predict`` + jit/cache counters), timed with tracing
+  (spans: ``session.predict`` + cache counters), timed with tracing
   disabled and enabled;
 * **sweep** — a forced synthetic local pipeline run (spans:
   ``pipeline.run`` + one ``stage.run`` per stage);

@@ -14,8 +14,9 @@ Measures the serving paths against the same stored model:
   shared artifact load *and* answering each repeated name once;
 * **distinct** — the same comparison over each benchmark exactly once,
   isolating the shared artifact load (nothing repeats);
-* **engine** — the no-grad fused forward vs the training-mode autograd
-  forward on the same inference batch, isolating the kernel win;
+* **engine** — the no-grad forward vs the training-mode autograd
+  forward on the same inference batch: both run the fused recurrent
+  ops, so the gap is what recording the graph costs;
 * **load** — the serving cluster under sustained **open-loop**
   traffic: for each worker count in ``--workers`` (``0`` is the
   in-process server ``repro serve`` runs), with one-entry caches so
@@ -70,15 +71,12 @@ def bench_serving(
     benchmarks: list[str] | None = None,
     repeats: int = 4,
     cache_dir: str | None = None,
-    jit_enabled: bool | None = None,
 ) -> dict:
-    from repro import jit
     from repro.api import Session
     from repro.ml.autograd import Tensor
     from repro.workloads import TEST_BENCHMARKS
 
-    jit.reset_stats()  # scope the kernel-tier counters to this run
-    session = Session(scale=scale, cache_dir=cache_dir, jit=jit_enabled)
+    session = Session(scale=scale, cache_dir=cache_dir)
     trained = session.train()
     benchmarks = benchmarks or list(TEST_BENCHMARKS)
     request_list = benchmarks * repeats
@@ -139,29 +137,7 @@ def bench_serving(
             "speedup": t_train_fwd / t_infer,
         },
     }
-    # which kernel tier served the run: compiled (repro.jit) or reference
-    with session._jit_scope():
-        report["jit"] = jit.stats()
     return report
-
-
-def _worker_jit_summary(worker_stats: dict) -> dict:
-    """Per-worker kernel-tier provenance, compacted for the report."""
-    summary = {}
-    for wid, stats in worker_stats.items():
-        payload = stats.get("jit") if isinstance(stats, dict) else None
-        if not isinstance(payload, dict):
-            summary[str(wid)] = {"error": str(stats)}
-            continue
-        calls = payload.get("kernel_calls", 0)
-        summary[str(wid)] = {
-            "enabled": payload.get("enabled"),
-            "tier": "compiled" if calls else "reference",
-            "kernel_calls": calls,
-            "compiles": payload.get("compiles", 0),
-            "disk_hits": payload.get("disk_hits", 0),
-        }
-    return summary
 
 
 def bench_cluster_load(
@@ -171,14 +147,13 @@ def bench_cluster_load(
     requests: int = 200,
     rate_rps: float = 0.0,
     cache_dir: str | None = None,
-    jit_enabled: bool | None = None,
 ) -> dict:
     """Open-loop load against the worker cluster, per worker count."""
     from repro.api import Session
     from repro.serving import DispatchPolicy, PredictionCluster, ServeRequest
     from repro.workloads import TEST_BENCHMARKS
 
-    session = Session(scale=scale, cache_dir=cache_dir, jit=jit_enabled)
+    session = Session(scale=scale, cache_dir=cache_dir)
     session.train()  # reuses the stored artifact when warm
     benchmarks = benchmarks or list(TEST_BENCHMARKS)
     worker_counts = worker_counts or [1, 2]
@@ -206,10 +181,9 @@ def bench_cluster_load(
         # feature cache
         with PredictionCluster(
             workers=count, scale=scale, cache_dir=cache_dir, policy=policy,
-            jit=jit_enabled, model_cache=1, feature_cache=1,
+            model_cache=1, feature_cache=1,
         ) as cluster:
-            # load the model and compile kernels on every worker out of
-            # the measurement window
+            # load the model on every worker out of the measurement window
             warm = [
                 cluster.submit(ServeRequest(benchmark=name))
                 for name in benchmarks * max(1, count)
@@ -231,12 +205,7 @@ def bench_cluster_load(
             outcome = open_loop(
                 cluster.submit, request_list, rate, timeout_s=600.0
             )
-            # ask the workers which tier actually served (before teardown)
-            worker_jit = _worker_jit_summary(
-                cluster.stats().get("worker_stats", {})
-            )
         row = latency_summary(outcome["latencies_s"])
-        row["jit"] = worker_jit
         row.update(
             offered_rps=rate,
             throughput_rps=outcome["completed"] / outcome["elapsed_s"],
@@ -356,15 +325,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", default=None, metavar="PATH",
                         help="JSON output (default: results/BENCH_serving.json)")
     parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--jit", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="force the compiled kernel tier on/off "
-                             "(default: REPRO_JIT env, else on)")
     args = parser.parse_args(argv)
 
     report = bench_serving(
         scale=args.scale, repeats=args.repeats, cache_dir=args.cache_dir,
-        jit_enabled=args.jit,
     )
     singles = report["singles"]
     batched = report["batched"]
@@ -384,11 +348,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"engine:  infer {1e3 * engine['infer_seconds']:.2f} ms vs "
           f"train-forward {1e3 * engine['train_forward_seconds']:.2f} ms  "
           f"({engine['speedup']:.2f}x)")
-    jit_stats = report["jit"]
-    print(f"jit:     enabled={jit_stats['enabled']}  "
-          f"kernel_calls={jit_stats['kernel_calls']}  "
-          f"compiles={jit_stats['compiles']}  "
-          f"disk_hits={jit_stats['disk_hits']}")
 
     if args.workers:
         worker_counts = [int(w) for w in args.workers.split(",") if w]
@@ -398,18 +357,15 @@ def main(argv: list[str] | None = None) -> int:
             requests=args.requests,
             rate_rps=args.rate,
             cache_dir=args.cache_dir,
-            jit_enabled=args.jit,
         )
         for count, row in sorted(
             report["load"]["workers"].items(), key=lambda kv: int(kv[0])
         ):
-            tiers = [w.get("tier", "?") for w in row["jit"].values()]
             print(f"load w={count}: p50 {row['p50_ms']:7.2f} ms  "
                   f"p95 {row['p95_ms']:7.2f} ms  p99 {row['p99_ms']:7.2f} ms"
                   f"  {row['throughput_rps']:8.1f} req/s  "
                   f"(offered {row['offered_rps']:.1f}, "
-                  f"errors {row['errors']}, "
-                  f"kernels: {','.join(tiers) or '?'})")
+                  f"errors {row['errors']})")
         scaling = report["load"].get("scaling")
         if scaling:
             print(f"load scaling {scaling['from_workers']}->"

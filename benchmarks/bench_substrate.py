@@ -2,29 +2,14 @@
 
 Not a paper table; these track the throughput of the expensive building
 blocks (VM tracing, timing simulation, feature encoding, foundation
-training step) so performance regressions in the hot paths are visible.
+training step, program-representation inference) so performance
+regressions in the hot paths are visible.  Run with pytest-benchmark::
 
-The ``jit_comparison`` section times the :mod:`repro.jit` compiled
-kernels against the numpy reference kernels on the scale's LSTM/GRU
-substrate and checks their parity.  Run directly to produce the
-committed report (the CI ``jit`` job gates on it)::
-
-    PYTHONPATH=src python benchmarks/bench_substrate.py --scale smoke \
-        --output benchmarks/BENCH_jit.json
-
-Acceptance bar at smoke scale: every kernel's compiled-vs-reference
-``speedup >= 1.5`` with ``max_abs_diff <= 1e-6``.
+    PYTHONPATH=src python -m pytest benchmarks/bench_substrate.py
 """
-
-import argparse
-import json
-import os
-import sys
-import time
 
 import numpy as np
 
-from repro import jit
 from repro.core.foundation import make_foundation
 from repro.core.perfvec import PerfVec
 from repro.core.predictor import MicroarchTable
@@ -94,114 +79,3 @@ def test_program_representation_inference(benchmark):
     rep = benchmark(model.program_representation, feats, 48)
     assert rep.shape == (64,)
 
-
-# ---------------------------------------------------------------------------
-# the repro.jit compiled tier vs the numpy reference kernels
-# ---------------------------------------------------------------------------
-def _scale_batch(scale_name: str):
-    """One inference batch shaped like the scale's training chunks."""
-    from repro.experiments.common import get_scale
-
-    scale = get_scale(scale_name)
-    rng = np.random.default_rng(0)
-    batch = rng.standard_normal(
-        (scale.batch_size, scale.chunk_len, 51)
-    ).astype(np.float32)
-    return scale, batch
-
-
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def jit_comparison(scale_name: str = "smoke", repeats: int = 50) -> dict:
-    """Compiled-vs-reference timings + parity on the scale's substrate.
-
-    One row per recurrent kernel family, sized exactly like the scale's
-    serving chunks (the hot loop :mod:`repro.jit` exists for).
-    """
-    scale, batch = _scale_batch(scale_name)
-    hidden = scale.spec.split("-")[-1]
-    layers = scale.spec.split("-")[-2]
-    report: dict = {
-        "scale": scale.name,
-        "batch_shape": list(batch.shape),
-        "repeats": repeats,
-        "kernels": {},
-    }
-    for kind in ("lstm", "gru"):
-        spec = f"{kind}-{layers}-{hidden}"
-        foundation = make_foundation(spec, seed=0)
-        with jit.context(enabled=False):
-            reference, _ = foundation.infer(batch)
-            t_ref = _best_of(lambda: foundation.infer(batch), repeats)
-        with jit.context(enabled=True):
-            compiled, _ = foundation.infer(batch)  # warm-up + compile
-            t_jit = _best_of(lambda: foundation.infer(batch), repeats)
-        report["kernels"][kind] = {
-            "spec": spec,
-            "reference_seconds": t_ref,
-            "compiled_seconds": t_jit,
-            "speedup": t_ref / t_jit,
-            "max_abs_diff": float(np.max(np.abs(compiled - reference))),
-        }
-    report["jit_stats"] = jit.stats()
-    return report
-
-
-def test_lstm_infer_reference_tier(benchmark):
-    _, batch = _scale_batch("smoke")
-    foundation = make_foundation("lstm-1-16", seed=0)
-    with jit.context(enabled=False):
-        out, _ = benchmark(foundation.infer, batch)
-    assert out.shape == batch.shape[:2] + (16,)
-
-
-def test_lstm_infer_compiled_tier(benchmark):
-    _, batch = _scale_batch("smoke")
-    foundation = make_foundation("lstm-1-16", seed=0)
-    with jit.context(enabled=True):
-        foundation.infer(batch)  # compile outside the timed region
-        out, _ = benchmark(foundation.infer, batch)
-    assert out.shape == batch.shape[:2] + (16,)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="compiled-vs-reference kernel benchmark"
-    )
-    parser.add_argument("--scale", default=os.environ.get(
-        "REPRO_BENCH_SCALE", "smoke"))
-    parser.add_argument("--repeats", type=int, default=50,
-                        help="timing repetitions (best-of)")
-    parser.add_argument("--output", default=None, metavar="PATH",
-                        help="JSON output (default: results/BENCH_jit.json)")
-    args = parser.parse_args(argv)
-
-    report = jit_comparison(args.scale, repeats=args.repeats)
-    print(f"# bench_substrate jit scale={report['scale']} "
-          f"batch={tuple(report['batch_shape'])}")
-    for kind, row in report["kernels"].items():
-        print(f"{kind:>4s} {row['spec']:<12s} "
-              f"ref {1e3 * row['reference_seconds']:7.3f} ms  "
-              f"jit {1e3 * row['compiled_seconds']:7.3f} ms  "
-              f"speedup {row['speedup']:.2f}x  "
-              f"max|diff| {row['max_abs_diff']:.2e}")
-    from _bench_util import metrics_block
-
-    report["metrics"] = metrics_block()
-    output = args.output or os.path.join("results", "BENCH_jit.json")
-    os.makedirs(os.path.dirname(output) or ".", exist_ok=True)
-    with open(output, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    print(f"saved: {output}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import jit as _jit
 from repro import obs
 from repro.cache import dataset_cache_dir, model_store_dir
 from repro.core.errors import (
@@ -84,7 +83,6 @@ class Session:
         cache_dir: str | None = None,
         jobs: int | None = 1,
         store: ModelStore | None = None,
-        jit: bool | None = None,
         frontend: str = DEFAULT_FRONTEND,
     ):
         self.scale = get_scale(scale)
@@ -93,19 +91,10 @@ class Session:
         # which trace source benchmark names resolve against; validates
         # eagerly (unknown names raise with suggestions)
         self.frontend = get_frontend(frontend).name
-        # None defers to REPRO_JIT / the process default (enabled); True or
-        # False pins the compiled tier for this session's engine passes
-        self.jit = jit
         self.store = store or ModelStore(model_store_dir(cache_dir))
         self._configs: list[MicroarchConfig] | None = None
         self._datasets: dict[tuple[str, ...], TraceDataset] = {}
         self._features: dict[str, np.ndarray] = {}
-
-    def _jit_scope(self):
-        """The :func:`repro.jit.context` this session's engine passes run
-        under: its ``jit`` pin (or the ambient default) plus its cache
-        root, so compiled kernels publish next to its other artifacts."""
-        return _jit.context(enabled=self.jit, cache_dir=self.cache_dir)
 
     # -- shared ingredients ----------------------------------------------
     def configs(self) -> list[MicroarchConfig]:
@@ -194,7 +183,7 @@ class Session:
         else:
             with obs.span(
                 "session.train", family=family, scale=self.scale.name
-            ), self._jit_scope():
+            ):
                 model = create(family, **spec).fit(
                     dataset, configs=self.configs()
                 )
@@ -203,8 +192,7 @@ class Session:
                 train_config=train_config, tag=tag,
             )
             reused = False
-        with self._jit_scope():
-            errors = model.evaluate(dataset) if evaluate else {}
+        errors = model.evaluate(dataset) if evaluate else {}
         return TrainResult(
             artifact_id=artifact_id, model=model, reused=reused, errors=errors
         )
@@ -372,7 +360,7 @@ class Session:
         ]
         with obs.span(
             "session.predict", family=family, benchmarks=len(requests)
-        ), self._jit_scope():
+        ):
             results = model.predict_batch(requests)
         return {
             request.benchmark: dict(
@@ -389,8 +377,7 @@ class Session:
     ) -> dict[str, ErrorSummary]:
         """Stored-model prediction error vs simulated ground truth."""
         model = self.model(artifact, family)
-        with self._jit_scope():
-            return model.evaluate(self.dataset(benchmarks))
+        return model.evaluate(self.dataset(benchmarks))
 
     # -- pipelines --------------------------------------------------------
     def run_pipeline(

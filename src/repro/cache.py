@@ -48,11 +48,6 @@ def stage_store_dir(root: str | None = None) -> str:
     return os.path.join(cache_root(root), "stages")
 
 
-def jit_cache_dir(root: str | None = None) -> str:
-    """Where :mod:`repro.jit` publishes compiled kernel sources."""
-    return os.path.join(cache_root(root), "jit")
-
-
 def obs_dir(root: str | None = None) -> str:
     """Where :mod:`repro.obs` appends trace logs and flight dumps.
 

@@ -29,14 +29,9 @@ Every runner subcommand takes ``--jobs N`` (default: all cores) to fan
 trace simulations — and, for ``run-all``/pipelines, whole
 experiments/stages — out across worker processes via
 :mod:`repro.runtime`, ``--cache-dir DIR`` to redirect every on-disk
-cache (datasets + models + stage artifacts + compiled jit kernels;
-equivalent to setting ``REPRO_CACHE_DIR``), and ``--results-dir DIR``
-to redirect result JSON files (default: ``<cache root>/results``).
-
-The serving/prediction subcommands additionally take ``--jit`` /
-``--no-jit`` to pin the :mod:`repro.jit` compiled-kernel tier on or off
-(equivalent to setting ``REPRO_JIT``; the default is on). ``repro
-models show`` lists the kernels published under ``<cache>/jit/``.
+cache (datasets + models + stage artifacts; equivalent to setting
+``REPRO_CACHE_DIR``), and ``--results-dir DIR`` to redirect result JSON
+files (default: ``<cache root>/results``).
 
 Observability (``repro.obs``): ``--obs`` / ``--no-obs`` on the serving
 and pipeline subcommands turns structured span tracing on or off
@@ -383,7 +378,6 @@ def _cmd_models(args) -> int:
             print(f"error: {exc}")
             return 1
         print(json.dumps(manifest, indent=2, sort_keys=True))
-        _print_jit_summary()
         return 0
     if args.action == "rm":
         if not args.artifact:
@@ -451,24 +445,6 @@ def _cmd_obs(args) -> int:
     return 0
 
 
-def _print_jit_summary() -> None:
-    """Compiled kernels published under ``<cache>/jit/`` (models show)."""
-    from repro import jit
-
-    summary = jit.disk_summary()
-    if not summary["kernels"] and not summary["stale"]:
-        return
-    print(f"\njit kernel cache ({summary['dir']}, "
-          f"generator v{summary['generator_version']}):")
-    for entry in summary["kernels"]:
-        print(f"  {entry['key']}  {entry['label']:<32s} "
-              f"{entry['bytes']:>6d} bytes")
-    if summary["stale"]:
-        print(f"  + {summary['stale']} stale entr"
-              f"{'y' if summary['stale'] == 1 else 'ies'} "
-              "(older generator; ignored)")
-
-
 def _benchmarks_value(text: str | None) -> tuple[str, ...] | None:
     if not text:
         return None
@@ -496,14 +472,6 @@ def _add_cache_dir_flag(parser: argparse.ArgumentParser) -> None:
         "--cache-dir", default=None, metavar="DIR",
         help="cache root for datasets + models + stage artifacts "
              "(default: $REPRO_CACHE_DIR or .repro_cache)",
-    )
-
-
-def _add_jit_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jit", action=argparse.BooleanOptionalAction, default=None,
-        help="compiled kernel tier for the ml hot loops (default: "
-             "$REPRO_JIT or on; --no-jit forces the numpy reference path)",
     )
 
 
@@ -607,7 +575,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_jobs_flag(p_pipe)
     _add_cache_dir_flag(p_pipe)
     _add_results_dir_flag(p_pipe)
-    _add_jit_flag(p_pipe)
     _add_obs_flag(p_pipe)
 
     p_suite = sub.add_parser("bench-suite", help="build the full suite dataset")
@@ -635,7 +602,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_isa_flag(p_train)
     _add_jobs_flag(p_train)
     _add_cache_dir_flag(p_train)
-    _add_jit_flag(p_train)
     _add_obs_flag(p_train)
 
     p_predict = sub.add_parser(
@@ -659,7 +625,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_isa_flag(p_predict)
     _add_jobs_flag(p_predict)
     _add_cache_dir_flag(p_predict)
-    _add_jit_flag(p_predict)
     _add_obs_flag(p_predict)
 
     p_frontends = sub.add_parser(
@@ -727,7 +692,6 @@ def main(argv: list[str] | None = None) -> int:
              "this long (0: hedging off)",
     )
     _add_cache_dir_flag(p_serve)
-    _add_jit_flag(p_serve)
     _add_obs_flag(p_serve)
 
     p_obs = sub.add_parser(
@@ -753,14 +717,12 @@ def main(argv: list[str] | None = None) -> int:
     _add_cache_dir_flag(p_models)
 
     args = parser.parse_args(argv)
-    from repro import jit, obs
+    from repro import obs
     from repro.cache import set_cache_root, set_results_dir
 
     set_cache_root(getattr(args, "cache_dir", None))
     set_results_dir(getattr(args, "results_dir", None))
-    # exported as REPRO_JIT so spawned workers resolve the same setting
-    jit.set_enabled(getattr(args, "jit", None))
-    # likewise REPRO_OBS: spawned cluster/queue workers trace too
+    # exported as REPRO_OBS so spawned cluster/queue workers trace too
     obs.set_enabled(getattr(args, "obs", None))
     handlers = {
         "list": _cmd_list,

@@ -12,8 +12,8 @@ III-B) gives the two inference modes:
 Inference runs on the batched no-grad engine (:mod:`repro.ml.inference`):
 feature streams — any number of them at once — are cut into contiguous
 chunks, chunks from *all* streams are packed into dense batches, and the
-foundation's fused ``infer`` kernels process each batch without building an
-autograd graph.  "The representations of all instructions can be generated
+foundation's ``infer`` runs each batch through the same fused recurrent
+ops as training, with no autograd node recorded.  "The representations of all instructions can be generated
 in parallel" (Sec. III-B) — here parallelism is the batch dimension of one
 BLAS call, shared across every queued request.
 """
@@ -61,9 +61,9 @@ class PerfVec(Module):
         """Representations R_i for a feature stream ``[N, F]`` (inference).
 
         The stream is cut into contiguous chunks (fresh state per chunk,
-        mirroring training); chunks are batched through the fused no-grad
-        kernels for throughput, and the ragged tail rides as a final short
-        chunk.
+        mirroring training); chunks are batched through the foundation's
+        no-grad forward for throughput, and the ragged tail rides as a
+        final short chunk.
         """
         features = np.asarray(features, dtype=np.float32)
         self.eval()

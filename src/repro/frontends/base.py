@@ -11,7 +11,7 @@ traces in that vocabulary:
 * ``mini-asm`` — the in-repo VM and its 17-benchmark suite (the
   original, and the default everywhere);
 * ``rv`` — the RISC-V-flavored ISA backend (:mod:`repro.frontends.rv`):
-  its own assembler, encoder/decoder, interpreter and kernels, with
+  its own assembler, encoder, interpreter and kernels, with
   opcodes and registers mapped onto the canonical vocabulary at trace
   time;
 * ``imported`` — externally produced traces ingested by

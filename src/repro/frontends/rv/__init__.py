@@ -1,4 +1,4 @@
-"""The RISC-V-flavored frontend: ISA, assembler, decoder, machine, kernels.
+"""The RISC-V-flavored frontend: ISA, assembler, machine, kernels.
 
 See :mod:`repro.frontends.rv.isa` for the subset definition and the
 canonical opcode/register mapping that makes RV traces consumable by the
@@ -12,7 +12,7 @@ from repro.vm.trace import Trace
 
 
 class RvFrontend(Frontend):
-    """RV32IM-ish ISA backend with its own assembler/decoder/interpreter."""
+    """RV32IM-ish ISA backend with its own assembler and interpreter."""
 
     name = "rv"
     description = "RISC-V-flavored RV32IM-ish backend, 6-kernel suite"

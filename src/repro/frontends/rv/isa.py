@@ -25,9 +25,10 @@ Two mappings make RV traces consumable by everything downstream:
   register *categories* (Table I) therefore carry the same meaning in
   both ISAs.
 
-Encoding is the real RV32 layout (R/I/S/B/U/J formats), so the
-assembler emits 32-bit words and the decoder round-trips them — see
-:mod:`repro.frontends.rv.assembler` / :mod:`repro.frontends.rv.decoder`.
+Encoding is the real RV32 layout (R/I/S/B/U/J formats): the assembler
+(:mod:`repro.frontends.rv.assembler`) packs each instruction into its
+32-bit word, and :func:`encode`'s field-range checks are how it rejects
+out-of-range immediates and offsets.
 """
 
 from __future__ import annotations
@@ -72,15 +73,10 @@ def parse_xreg(token: str) -> int:
     raise ValueError(f"not a RISC-V register: {token!r}")
 
 
-def xreg_name(index: int) -> str:
-    """Canonical ABI name of x-register ``index``."""
-    return ABI_NAMES[index]
-
-
 # ---------------------------------------------------------------------------
 # opcodes
 # ---------------------------------------------------------------------------
-#: Encoding formats understood by the assembler/decoder.
+#: Encoding formats understood by the assembler.
 FORMATS = ("R", "I", "IL", "S", "B", "U", "J", "SYS")
 
 _OPC_OP = 0b0110011
@@ -193,7 +189,7 @@ def jump_opid(mnemonic: str, rd: int, rs1: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# encode / decode field helpers (real RV32 bit layout)
+# encode field helpers (real RV32 bit layout)
 # ---------------------------------------------------------------------------
 class RvEncodingError(ValueError):
     """An operand does not fit its encoding field."""
@@ -248,9 +244,3 @@ def encode(
     else:  # pragma: no cover - all formats enumerated above
         raise RvEncodingError(f"unknown format {spec.fmt!r}")
     return word & 0xFFFFFFFF
-
-
-def _sext(value: int, bits: int) -> int:
-    if value >> (bits - 1):
-        value -= 1 << bits
-    return value

@@ -9,13 +9,9 @@ and a best-on-validation training loop.  Gradients are verified against
 finite differences in the test suite.
 """
 
+from repro.ml.activations import stable_sigmoid
 from repro.ml.autograd import Tensor, concat, no_grad, stack
-from repro.ml.inference import (
-    gru_infer,
-    iter_chunk_batches,
-    lstm_infer,
-    stable_sigmoid,
-)
+from repro.ml.inference import iter_chunk_batches
 from repro.ml.layers import (
     MLP,
     Dropout,
@@ -35,7 +31,7 @@ from repro.ml.serialize import load_state, save_state
 
 __all__ = [
     "Tensor", "concat", "no_grad", "stack",
-    "gru_infer", "iter_chunk_batches", "lstm_infer", "stable_sigmoid",
+    "iter_chunk_batches", "stable_sigmoid",
     "MLP", "Dropout", "LayerNorm", "Linear", "Module", "ReLU", "Sequential",
     "Tanh",
     "GRU", "LSTM",

@@ -1,25 +1,18 @@
 """Shared gate math: the single source of truth for activation kernels.
 
-Four consumers need *identical* numerics for the recurrent gate
+Two consumers need *identical* numerics for the recurrent gate
 nonlinearities:
 
 * the autograd engine (:meth:`repro.ml.autograd.Tensor.sigmoid`) — the
   per-step cell reference;
-* the fused recurrent ops in :mod:`repro.ml.recurrent` — the training
-  forward, via the in-place :func:`stable_sigmoid_`;
-* the hand-fused reference kernels in :mod:`repro.ml.inference` — the
-  always-on no-grad serving path;
-* the code generator in :mod:`repro.jit` — whose emitted modules import
-  the in-place variants below directly.
+* the fused recurrent ops in :mod:`repro.ml.recurrent` — training and
+  no-grad inference alike, via the in-place :func:`stable_sigmoid_`.
 
-Keeping every formulation here means a numerical change lands in all
+Keeping every formulation here means a numerical change lands in both
 paths at once (and the parity suites pin them to each other).
 :func:`stable_sigmoid_` performs exactly the same element-wise
 operations as the allocating :func:`stable_sigmoid` — ``where(x >= 0,
-1/(1+e), e/(1+e))`` with ``e = exp(-|x|)``.  The JIT tier uses
-:func:`fast_sigmoid_`, the direct form, which trades a few ulps (and an
-exact 0.0 where the stable form returns a denormal) for half the
-operation count — well inside the suite's 1e-6 parity bar.
+1/(1+e), e/(1+e))`` with ``e = exp(-|x|)``.
 """
 
 from __future__ import annotations
@@ -27,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "fast_sigmoid_",
     "sigmoid_scratch",
     "stable_sigmoid",
     "stable_sigmoid_",
@@ -75,23 +67,3 @@ def stable_sigmoid_(
     x /= e
     return x
 
-
-def fast_sigmoid_(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """In-place direct sigmoid ``1 / (1 + exp(-x))`` — the JIT-tier gate.
-
-    Half the operation count of :func:`stable_sigmoid_` (no piecewise
-    select), at the cost of overflowing ``exp`` for very negative gate
-    pre-activations: there ``exp(-x)`` saturates to ``inf`` and the
-    reciprocal returns exactly ``0.0``, while the stable form returns a
-    denormal ``~1e-40`` — an absolute difference far below the 1e-6
-    parity bar.  Everywhere else the two differ by at most a couple of
-    ulps.  Callers must run under ``np.errstate(over="ignore")`` (the
-    generated kernels wrap their whole time loop in one).
-
-    ``e`` is same-shape scratch; the result lands in ``x``.
-    """
-    np.negative(x, out=e)
-    np.exp(e, out=e)
-    e += 1.0
-    np.reciprocal(e, out=x)
-    return x

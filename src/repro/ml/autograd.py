@@ -16,32 +16,40 @@ chunk, so a training step builds the same few nodes at any chunk length.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Iterable
 
 import numpy as np
 
 from repro.ml.activations import stable_sigmoid
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Graph construction on or off, per thread: one thread's
+    :func:`no_grad` block never changes what another thread records."""
+
+    enabled = True
+
+
+_mode = _GradMode()
 
 
 def grad_enabled() -> bool:
-    """Whether graph construction is currently on (False under
-    :func:`no_grad`) — layers use this to route no-grad forwards onto
-    the fused inference kernels."""
-    return _grad_enabled
+    """Whether graph construction is on in the calling thread (False
+    inside :func:`no_grad`)."""
+    return _mode.enabled
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph construction (inference / target preparation)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    """Disable graph construction in the calling thread (inference /
+    target preparation)."""
+    previous = _mode.enabled
+    _mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _mode.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -70,7 +78,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float32 if not isinstance(
             data, np.ndarray) or data.dtype.kind != "f" else data.dtype)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad and _grad_enabled
+        self.requires_grad = requires_grad and _mode.enabled
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
 
@@ -111,7 +119,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        needs = _grad_enabled and any(p.requires_grad for p in parents)
+        needs = _mode.enabled and any(p.requires_grad for p in parents)
         out.requires_grad = needs
         out._parents = tuple(p for p in parents if p.requires_grad) if needs else ()
         out._backward = backward if needs else None

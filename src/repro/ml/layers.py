@@ -107,11 +107,12 @@ class Module:
     def infer(self, *args, **kwargs):
         """Inference-mode forward on raw ndarrays: no autograd graph.
 
-        The generic fallback wraps ndarray arguments in graph-free Tensors,
-        runs :meth:`forward` under ``no_grad()`` in eval mode and unwraps
-        the result.  Hot layers (Linear, MLP, LSTM, GRU) override this with
-        fused kernels from :mod:`repro.ml.inference`; both paths match the
-        training-mode forward numerically.
+        The generic path wraps ndarray arguments in float32 Tensors (the
+        engine's dtype), runs :meth:`forward` under ``no_grad()`` in eval
+        mode and unwraps the result.  No node is recorded, so the LSTM/GRU
+        ops of :mod:`repro.ml.recurrent` run their forward pass only.
+        Element-wise layers (Linear, MLP, ReLU, ...) override this with
+        the same NumPy expression on raw arrays.
         """
         was_training = self.training
         if was_training:
@@ -120,7 +121,8 @@ class Module:
             with no_grad():
                 out = self.forward(
                     *[
-                        Tensor(a) if isinstance(a, np.ndarray) else a
+                        Tensor(np.asarray(a, dtype=np.float32))
+                        if isinstance(a, np.ndarray) else a
                         for a in args
                     ],
                     **kwargs,

@@ -20,8 +20,9 @@ step's graph does not grow with the chunk length:
 Layers accept and return explicit hidden state, enabling the truncated-BPTT
 streaming that PerfVec training uses (each contiguous trace chunk continues
 from the detached final state of the previous chunk — the causal analogue
-of the paper's c-instruction context window).  With autograd off they run
-the fused inference kernels of :mod:`repro.ml.inference` instead.
+of the paper's c-instruction context window).  Under
+:func:`~repro.ml.autograd.no_grad` the same ops run and record no node, so
+training, validation and serving (``Module.infer``) share one recurrence.
 """
 
 from __future__ import annotations
@@ -29,14 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.activations import sigmoid_scratch, stable_sigmoid_
-from repro.ml.autograd import Tensor, concat, grad_enabled
-from repro.ml.inference import gru_infer, lstm_infer
+from repro.ml.autograd import Tensor, concat
 from repro.ml.layers import Linear, Module
-
-
-def _raw(x) -> np.ndarray:
-    """The ndarray behind a forward input (Tensor or already raw)."""
-    return x.data if isinstance(x, Tensor) else x
 
 
 class LSTMCell(Module):
@@ -291,11 +286,6 @@ class LSTM(Module):
         """Returns (outputs (B, T, D), final detached state per layer)."""
         if x.ndim != 3:
             raise ValueError("LSTM expects (batch, time, features)")
-        if not grad_enabled():
-            # no graph wanted: the fused kernels (and, when enabled, the
-            # repro.jit compiled tier) serve the training-code call sites
-            out, final_state = lstm_infer(self, _raw(x), state)
-            return Tensor(out), final_state
         batch = x.shape[0]
         if state is None:
             state = self.initial_state(batch)
@@ -313,10 +303,6 @@ class LSTM(Module):
                 out = concat([out, rev[:, ::-1]], axis=-1)
             x = out
         return x, final_state
-
-    def infer(self, x, state=None):
-        """Fused no-grad forward (see :func:`repro.ml.inference.lstm_infer`)."""
-        return lstm_infer(self, x, state)
 
 
 class GRU(Module):
@@ -348,9 +334,6 @@ class GRU(Module):
     ) -> tuple[Tensor, list[np.ndarray]]:
         if x.ndim != 3:
             raise ValueError("GRU expects (batch, time, features)")
-        if not grad_enabled():
-            out, final_state = gru_infer(self, _raw(x), state)
-            return Tensor(out), final_state
         if state is None:
             state = self.initial_state(x.shape[0])
         final_state: list[np.ndarray] = []
@@ -358,7 +341,3 @@ class GRU(Module):
             x, h = gru_layer(cell, x, state[layer])
             final_state.append(h)
         return x, final_state
-
-    def infer(self, x, state=None):
-        """Fused no-grad forward (see :func:`repro.ml.inference.gru_infer`)."""
-        return gru_infer(self, x, state)

@@ -103,6 +103,11 @@ def _extract_sidecar(path: str, sidecar: str, identity: dict) -> dict:
         index = {"source": identity, "arrays": files}
         with open(os.path.join(tmp, MMAP_INDEX), "w") as fh:
             json.dump(index, fh, indent=2, sort_keys=True)
+        # a process that published while this one extracted may already
+        # be mapping its files: adopt them instead of deleting them
+        published = _sidecar_valid(sidecar, identity)
+        if published is not None:
+            return published
         if os.path.isdir(sidecar):  # stale extraction of an older npz
             shutil.rmtree(sidecar)
         try:

@@ -1,8 +1,8 @@
 """``repro.obs`` — tracing, metrics, and profiling for the whole stack.
 
 The first layer that sees every other layer: serving requests, cluster
-workers, pipeline stages, queue claims, JIT compiles, and cache lookups
-all report here.  Three pieces:
+workers, pipeline stages, queue claims and cache lookups all report
+here.  Three pieces:
 
 * :mod:`repro.obs.trace` — structured spans with cross-process
   propagation and an append-only JSONL log (``REPRO_OBS``-gated; the

@@ -2,8 +2,8 @@
 
 One global :data:`REGISTRY` absorbs the counters that used to live as
 ad-hoc dicts scattered across the stack — dispatcher shed/hedge counts,
-lane batch sizes and request latency, jit compile/hit activity, feature
-and stage-store cache hits/misses/corruption, queue lease steals and
+lane batch sizes and request latency, serving, feature and
+stage-store cache hits/misses/corruption, queue lease steals and
 expiries.  Everything is recorded unconditionally (a counter bump is a
 lock + dict update — the same cost the old ad-hoc dicts paid), while
 the *expensive* observability surfaces — span logging, flight dumps —

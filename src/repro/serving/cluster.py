@@ -110,7 +110,6 @@ def _worker_main(conn, options: dict) -> None:
         model_cache=options["model_cache"],
         feature_cache=options["feature_cache"],
         mmap=options["mmap"],
-        jit=options.get("jit"),
     )
     while True:
         try:
@@ -140,9 +139,6 @@ def _handle_control(service: PredictionService, cid: int, payload: dict):
         if op == "ping":
             return ("ctl-ok", cid, {"pid": os.getpid()})
         if op == "stats":
-            # the worker's own service counters — including its jit
-            # section, so the frontend can report whether this process
-            # answered from compiled or reference kernels
             return ("ctl-ok", cid, service.stats())
         if op == "metrics":
             # this worker's registry snapshot; the frontend merges it
@@ -225,15 +221,12 @@ class PredictionCluster:
         model_cache: int = 4,
         feature_cache: int = 64,
         mmap: bool = True,
-        jit: bool | None = None,
     ):
         if workers < 0:
             raise ValueError(
                 "worker count must be >= 0 (0 serves in-process)"
             )
-        self.session = session or Session(
-            scale=scale, cache_dir=cache_dir, jit=jit
-        )
+        self.session = session or Session(scale=scale, cache_dir=cache_dir)
         self.workers = workers
         self._local = None if workers else PredictionService(
             session=self.session, model_cache=model_cache,
@@ -245,9 +238,6 @@ class PredictionCluster:
             "model_cache": model_cache,
             "feature_cache": feature_cache,
             "mmap": mmap,
-            # None defers to the REPRO_JIT environment the worker
-            # inherits; True/False pins the compiled tier per worker
-            "jit": self.session.jit,
         }
         self.dispatcher = Dispatcher(
             policy=policy, on_worker_lost=self._on_worker_lost
@@ -414,7 +404,7 @@ class PredictionCluster:
         return collected
 
     def _collect_worker_stats(self, timeout_s: float) -> dict:
-        """Best-effort per-worker service counters (jit activity included).
+        """Best-effort per-worker service counters.
 
         Control round-trips fan out to every live worker in parallel; a
         worker that dies or stalls contributes an ``error`` entry instead

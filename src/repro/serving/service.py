@@ -8,9 +8,9 @@ provides:
 * **answer memo** — PerfVec's program representation is computed once
   and reused for every microarchitecture (paper Sec. III-B), so the
   reusable product of one (artifact, program) pair is its answer row.
-  :meth:`predict_batch` keeps recent rows, keyed by (artifact id, kernel
-  tier, benchmark, signature times), and answers a repeated request
-  with no feature fetch and no engine pass.  Artifact ids are content
+  :meth:`predict_batch` keeps recent rows, keyed by (artifact id,
+  benchmark, signature times), and answers a repeated request with no
+  feature fetch and no engine pass.  Artifact ids are content
   addresses, so a swapped or retrained model gets fresh keys;
 * **model LRU** — recently served artifacts stay deserialized in memory,
   keyed by resolved artifact id (with ``mmap=True`` the weight arrays
@@ -41,7 +41,6 @@ import threading
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro import jit as _jit
 from repro import obs
 from repro.api import Session
 from repro.core.errors import PredictionError
@@ -168,11 +167,10 @@ class PredictionService:
         model_cache: int = 4,
         feature_cache: int = 64,
         mmap: bool = False,
-        jit: bool | None = None,
         frontend: str | None = None,
     ):
         self.session = session or Session(
-            scale=scale, cache_dir=cache_dir, jit=jit,
+            scale=scale, cache_dir=cache_dir,
             **({"frontend": frontend} if frontend else {}),
         )
         self.mmap = mmap
@@ -249,9 +247,6 @@ class PredictionService:
         ``predict_batch`` on its model; the answers join the memo.
         """
         requests = list(requests)
-        # compiled and reference kernels agree to 1e-6, not bit for bit
-        with self.session._jit_scope():
-            tier = _jit.enabled()
         pinned: dict[tuple[str, str | None], str] = {}
         keys = []
         for request in requests:
@@ -260,7 +255,7 @@ class PredictionService:
                 pinned[pin] = self.session.resolve_artifact(*pin)
             signature = request.signature_times
             keys.append((
-                pinned[pin], tier, request.benchmark,
+                pinned[pin], request.benchmark,
                 None if signature is None else tuple(signature),
             ))
         with self._lock:
@@ -290,8 +285,7 @@ class PredictionService:
                 )
                 for request in missed.values()
             ]
-            with self.session._jit_scope():
-                batch_times = model.predict_batch(batch)
+            batch_times = model.predict_batch(batch)
             with self._lock:
                 for key, times in zip(missed, batch_times):
                     # immutable, so no caller can edit a later answer
@@ -336,21 +330,12 @@ class PredictionService:
 
     # -- introspection ----------------------------------------------------
     def stats(self) -> dict:
-        """This worker's counters (``worker_stats`` in ``GET /v1/stats``).
-
-        The ``jit`` section is this process's compiled-kernel activity —
-        compile counts, registry/disk hits, per-signature timings — taken
-        under the session's jit scope so ``enabled`` reflects what the
-        engine passes actually see.
-        """
+        """This worker's counters (``worker_stats`` in ``GET /v1/stats``)."""
         with self._lock:
-            payload = {
+            return {
                 "scale": self.session.scale.name,
                 "frontend": self.session.frontend,
                 "answers_cached": len(self._answers),
                 "models_cached": len(self._models),
                 "features_cached": len(self._features),
             }
-        with self.session._jit_scope():
-            payload["jit"] = _jit.stats()
-        return payload

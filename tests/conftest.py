@@ -27,16 +27,15 @@ def _hermetic_cache_root(tmp_path_factory):
 def _isolate_repro_env():
     """Undo ``REPRO_*`` env mutations after every test.
 
-    The CLI's ``--cache-dir``/``--results-dir``/``--jit`` flags export
-    ``REPRO_CACHE_DIR``/``REPRO_RESULTS_DIR``/``REPRO_JIT`` process-wide
+    The CLI's ``--cache-dir``/``--results-dir``/``--obs`` flags export
+    ``REPRO_CACHE_DIR``/``REPRO_RESULTS_DIR``/``REPRO_OBS`` process-wide
     (so worker processes resolve the same settings); without this
     fixture a test that exercises those flags would silently redirect
-    every later test's caches, results or kernel tier.
+    every later test's caches, results or tracing.
     """
     variables = (
         "REPRO_CACHE_DIR",
         "REPRO_RESULTS_DIR",
-        "REPRO_JIT",
         "REPRO_OBS",
         "REPRO_OBS_TRACE",
         "REPRO_OBS_SLOW_MS",

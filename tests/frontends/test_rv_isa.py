@@ -1,9 +1,7 @@
-"""RV ISA layer: register mapping, encodings, decoder round-trips."""
+"""RV ISA layer: register mapping, opcode mapping, encoding checks."""
 
 import pytest
 
-from repro.frontends.rv import kernels
-from repro.frontends.rv.decoder import RvDecodeError, decode, disassemble
 from repro.frontends.rv.isa import (
     CANONICAL_OPID,
     CANONICAL_REG,
@@ -60,20 +58,3 @@ def test_encode_rejects_out_of_range_immediates():
     with pytest.raises(RvEncodingError):
         encode(spec, rd=1, rs1=1, rs2=0, imm=-2049)
 
-
-def test_decode_round_trips_every_kernel_instruction():
-    for name in kernels.ALL_BENCHMARKS:
-        program = kernels.build_program(name, reps=4, seed=0)
-        for inst in program.instructions:
-            back = decode(inst.word, pc=inst.pc)
-            assert back == inst, (name, disassemble(inst.word, inst.pc))
-
-
-def test_decode_rejects_garbage_words():
-    with pytest.raises(RvDecodeError):
-        decode(0x0000_0000)
-
-
-def test_disassemble_mentions_the_mnemonic():
-    word = encode(RV_OPCODES["add"], rd=3, rs1=4, rs2=5, imm=0)
-    assert "add" in disassemble(word, 0)

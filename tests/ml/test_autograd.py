@@ -1,9 +1,18 @@
 """Autodiff engine tests: per-op gradient checks and graph semantics."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.ml.autograd import Tensor, concat, mse_loss, no_grad, stack
+from repro.ml.autograd import (
+    Tensor,
+    concat,
+    grad_enabled,
+    mse_loss,
+    no_grad,
+    stack,
+)
 from repro.ml.gradcheck import check_gradients
 
 
@@ -129,6 +138,38 @@ def test_no_grad_builds_no_graph():
         out = (a * 2).sum()
     assert not out.requires_grad
     assert out._parents == ()
+
+
+def test_no_grad_is_per_thread():
+    """Two threads' overlapping no_grad blocks: neither reaches the other
+    thread, and grad mode is on again once both have exited."""
+    first_inside, second_inside, first_done = (
+        threading.Event() for _ in range(3)
+    )
+    seen = {}
+
+    def first():
+        with no_grad():
+            first_inside.set()
+            second_inside.wait(10)
+        first_done.set()
+
+    def second():
+        first_inside.wait(10)
+        seen["during_first"] = grad_enabled()
+        with no_grad():
+            second_inside.set()
+            first_done.wait(10)  # first exits while second is inside
+        seen["after"] = grad_enabled()
+
+    threads = [threading.Thread(target=f) for f in (first, second)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+    assert seen == {"during_first": True, "after": True}
+    assert grad_enabled()
+    assert Tensor(np.ones(3), requires_grad=True).requires_grad
 
 
 def test_backward_on_non_scalar_with_seed():

@@ -1,20 +1,20 @@
 """Parity suite: the no-grad inference engine vs the training forward.
 
-The acceptance bar for the serving refactor: inference-mode outputs match
-the training-mode (autograd) forward within 1e-6 for every architecture —
-LSTM, GRU, MLP and the full PerfVec predictor — on **both** inference
-tiers: the numpy reference kernels and the :mod:`repro.jit` compiled
-kernels (the ``jit_mode`` fixture runs every parity test each way).
+Inference-mode outputs match the training-mode (autograd) forward within
+1e-6 for every foundation architecture, the MLP and the full PerfVec
+predictor.  The LSTM/GRU ops themselves are checked against the per-step
+cell reference in ``test_recurrent.py``, with autograd on and off.  Every
+test runs under both old settings of the retired ``REPRO_JIT`` switch
+(the ``retired_jit_switch`` fixture), which must change nothing.
 """
 
 import numpy as np
 import pytest
 
-from repro import jit
 from repro.core.foundation import make_foundation
 from repro.core.perfvec import PerfVec
 from repro.core.predictor import MicroarchTable
-from repro.ml import GRU, LSTM, MLP, Linear, Tensor
+from repro.ml import LSTM, MLP, Linear, Tensor
 from repro.ml.inference import iter_chunk_batches
 
 ATOL = 1e-6
@@ -22,23 +22,17 @@ RNG = np.random.default_rng(11)
 X = RNG.normal(size=(3, 17, 9)).astype(np.float32)
 
 
-@pytest.fixture(
-    autouse=True, params=[False, True], ids=["reference", "jit"]
-)
-def jit_mode(request, tmp_path):
-    """Run every parity test on both tiers, kernels sandboxed per test."""
-    jit.clear_registry()
-    with jit.context(enabled=request.param, cache_dir=str(tmp_path)):
-        yield request.param
-    jit.clear_registry()
+@pytest.fixture(autouse=True, params=["0", "1"], ids=["reference", "jit"])
+def retired_jit_switch(request, monkeypatch):
+    """Run every test with ``REPRO_JIT`` set to each of its old values.
 
-
-def test_jit_mode_really_compiles(jit_mode):
-    """The fixture must exercise the compiled tier, not silently fall
-    back — a compile (or registry entry) proves kernels actually ran."""
-    lstm = LSTM(9, 13, rng=np.random.default_rng(2))
-    lstm.infer(X)
-    assert (jit.registry_size() > 0) == jit_mode
+    ``REPRO_JIT=1`` once sent inference to a compiled kernel tier and
+    ``REPRO_JIT=0`` to numpy reference kernels.  Both tiers are gone and
+    every pass runs the same ops, so a value left in a user's environment
+    must not change any result.
+    """
+    monkeypatch.setenv("REPRO_JIT", request.param)
+    return request.param
 
 
 def _assert_close(a, b):
@@ -46,7 +40,7 @@ def _assert_close(a, b):
 
 
 # ---------------------------------------------------------------------------
-# layer kernels
+# layers and foundations
 # ---------------------------------------------------------------------------
 def test_linear_infer_matches_forward():
     layer = Linear(9, 5, rng=np.random.default_rng(0))
@@ -58,41 +52,6 @@ def test_mlp_infer_matches_forward():
     mlp = MLP([9, 32, 16, 4], rng=np.random.default_rng(1))
     flat = X.reshape(-1, 9)
     _assert_close(mlp(Tensor(flat)).data, mlp.infer(flat))
-
-
-@pytest.mark.parametrize("layers", [1, 2])
-@pytest.mark.parametrize("bidirectional", [False, True])
-def test_lstm_infer_matches_forward(layers, bidirectional):
-    lstm = LSTM(9, 13, num_layers=layers, bidirectional=bidirectional,
-                rng=np.random.default_rng(2))
-    out_t, state_t = lstm(Tensor(X))
-    out_i, state_i = lstm.infer(X)
-    _assert_close(out_t.data, out_i)
-    for (h_t, c_t), (h_i, c_i) in zip(state_t, state_i):
-        _assert_close(h_t, h_i)
-        _assert_close(c_t, c_i)
-
-
-def test_lstm_infer_continues_state():
-    lstm = LSTM(9, 13, num_layers=2, rng=np.random.default_rng(3))
-    state = [
-        (RNG.normal(size=(3, 13)).astype(np.float32),
-         RNG.normal(size=(3, 13)).astype(np.float32))
-        for _ in range(2)
-    ]
-    out_t, _ = lstm(Tensor(X), [(h.copy(), c.copy()) for h, c in state])
-    out_i, _ = lstm.infer(X, [(h.copy(), c.copy()) for h, c in state])
-    _assert_close(out_t.data, out_i)
-
-
-@pytest.mark.parametrize("layers", [1, 2])
-def test_gru_infer_matches_forward(layers):
-    gru = GRU(9, 13, num_layers=layers, rng=np.random.default_rng(4))
-    out_t, state_t = gru(Tensor(X))
-    out_i, state_i = gru.infer(X)
-    _assert_close(out_t.data, out_i)
-    for h_t, h_i in zip(state_t, state_i):
-        _assert_close(h_t, h_i)
 
 
 @pytest.mark.parametrize(
@@ -115,28 +74,21 @@ def test_perfvec_infer_matches_forward():
     _assert_close(preds_t.data, preds_i)
 
 
-@pytest.mark.parametrize("spec", ["lstm-2-8", "bilstm-1-8", "gru-1-8"])
-def test_compiled_tier_matches_reference_tier(spec, tmp_path):
-    """Direct tier-vs-tier parity (the training forward out of the loop)."""
-    foundation = make_foundation(spec, input_size=9, seed=12)
-    with jit.context(enabled=False):
-        ref, _ = foundation.infer(X)
-    with jit.context(enabled=True, cache_dir=str(tmp_path)):
-        jitted, _ = foundation.infer(X)
-    np.testing.assert_allclose(jitted, ref, atol=ATOL, rtol=0)
-
-
 def test_infer_builds_no_graph():
     lstm = LSTM(9, 13, rng=np.random.default_rng(8))
     out, _ = lstm.infer(X)
     assert isinstance(out, np.ndarray)  # raw arrays, not Tensors
+    # float64 inputs run the engine in float32 as well
+    wide, _ = lstm.infer(X.astype(np.float64))
+    assert wide.dtype == np.float32
+    np.testing.assert_array_equal(wide, out)
 
 
 def test_infer_restores_training_mode():
-    mlp = MLP([9, 8, 4], rng=np.random.default_rng(9))
-    mlp.train()
-    mlp.infer(X.reshape(-1, 9))
-    assert mlp.training  # generic fallback must restore the mode
+    lstm = LSTM(9, 13, rng=np.random.default_rng(9))
+    lstm.train()
+    lstm.infer(X)
+    assert lstm.training  # the generic Module.infer must restore the mode
 
 
 # ---------------------------------------------------------------------------

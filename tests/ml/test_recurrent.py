@@ -193,8 +193,8 @@ def test_input_rank_validated():
 
 
 def test_forward_under_no_grad_routes_to_fused_path():
-    """With autograd off, LSTM/GRU forward serve the fused inference
-    kernels (Tensor-wrapped) instead of building a per-step graph."""
+    """With autograd off, LSTM/GRU forward run the same fused ops and
+    record no node."""
     from repro.ml.autograd import no_grad
 
     lstm = LSTM(input_size=5, hidden_size=7, num_layers=2, rng=rng())
@@ -206,7 +206,8 @@ def test_forward_under_no_grad_routes_to_fused_path():
         out_n, state_n = lstm(Tensor(x))
         gout_n, gstate_n = gru(Tensor(x))
     assert isinstance(out_n, Tensor) and not out_n.requires_grad
-    assert isinstance(gout_n, Tensor)
+    assert out_n._parents == () and out_n._backward is None
+    assert isinstance(gout_n, Tensor) and gout_n._parents == ()
     np.testing.assert_allclose(out_n.numpy(), out_g.numpy(), atol=1e-6)
     np.testing.assert_allclose(gout_n.numpy(), gout_g.numpy(), atol=1e-6)
     for (h_g, c_g), (h_n, c_n) in zip(state_g, state_n):
@@ -218,8 +219,9 @@ def test_forward_under_no_grad_routes_to_fused_path():
 
 @pytest.mark.parametrize("kind", ["lstm", "bilstm", "gru"])
 def test_fused_layers_match_unrolled_cells(kind):
-    """The one-node-per-layer ops reproduce the per-step cell graph:
-    outputs and final state to 1e-6, parameter and input grads to 1e-5."""
+    """The one-node-per-layer ops reproduce the per-step cell graph with
+    autograd on (training) and off (``infer``, the serving path): outputs
+    and final state to 1e-6, parameter and input grads to 1e-5."""
     data = np.random.default_rng(7)
     x = data.normal(size=(3, 9, 5)).astype(np.float32)
     fused_model, reference_model = _model(kind), _model(kind)
@@ -237,9 +239,11 @@ def test_fused_layers_match_unrolled_cells(kind):
     ref_out, ref_final, ref_grads = run(
         reference_model, lambda *args: unrolled(reference_model, *args)
     )
-    assert np.abs(out - ref_out).max() <= 1e-6
-    for got, want in zip(final, ref_final):
-        np.testing.assert_allclose(got, want, atol=1e-6, rtol=0)
+    for got_out, got_final in ((out, final), fused_model.infer(x, state)):
+        assert np.abs(got_out - ref_out).max() <= 1e-6
+        assert len(got_final) == len(ref_final)
+        for got, want in zip(got_final, ref_final):
+            np.testing.assert_allclose(got, want, atol=1e-6, rtol=0)
     assert len(grads) == len(ref_grads)
     for got, want in zip(grads, ref_grads):
         assert _max_rel(got, want) <= 1e-5

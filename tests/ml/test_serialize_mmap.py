@@ -17,7 +17,13 @@ import pytest
 
 from repro.api import Session
 from repro.ml.layers import Linear
-from repro.ml.serialize import MMAP_SUFFIX, load_arrays, save_arrays
+from repro.ml.serialize import (
+    MMAP_SUFFIX,
+    _extract_sidecar,
+    _source_identity,
+    load_arrays,
+    save_arrays,
+)
 from repro.models.base import WEIGHTS_NPZ
 from repro.serving import PredictionCluster, ServeRequest
 
@@ -76,6 +82,22 @@ def test_sidecar_is_published_once_and_reused(saved):
         for name in os.listdir(sidecar)
     }
     assert after == stamp
+
+
+def test_late_extraction_keeps_the_published_sidecar(saved):
+    # two workers miss the sidecar and both extract: the one finishing
+    # second adopts the first one's copy instead of deleting the files
+    # the first is already mapping
+    path, arrays = saved
+    sidecar = f"{path}{MMAP_SUFFIX}"
+    mapped = load_arrays(path, mmap=True)
+    marker = os.path.join(sidecar, "published-first")
+    open(marker, "w").close()
+    index = _extract_sidecar(path, sidecar, _source_identity(path))
+    assert os.path.exists(marker)
+    assert set(index["arrays"]) == set(arrays)
+    for name, want in arrays.items():
+        assert np.array_equal(mapped[name], want)
 
 
 def test_stale_sidecar_invalidated_when_source_rewritten(saved):

@@ -232,18 +232,16 @@ def wait_until(predicate, timeout_s: float = 10.0) -> bool:
     return predicate()
 
 
-def test_worker_stats_report_jit_tier(cluster):
+def test_worker_stats_report_each_workers_service(cluster):
     cluster.predict(ServeRequest(benchmark="505.mcf"), timeout=120)
     stats = cluster.stats()
     workers = stats["worker_stats"]
     assert len(workers) == 2
     for report in workers.values():
         # every worker answers its control probe with its own service
-        # counters, jit section included — this is how the serving
-        # benchmarks record whether workers ran compiled kernels
+        # counters
         assert "error" not in report
         assert report["scale"] == "smoke"
-        assert report["jit"]["enabled"] is True
 
 
 def test_worker_metrics_fanout(cluster):

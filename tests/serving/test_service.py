@@ -11,7 +11,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro import jit
 from repro.api import Session
 from repro.core.errors import PredictionError, UnknownBenchmarkError
 from repro.models import StoreError
@@ -67,25 +66,35 @@ def test_config_filter(service, session):
     assert result.times == pytest.approx({config: expected[config]})
 
 
-def test_model_and_feature_caches_warm_up(service):
+def test_model_and_feature_caches_warm_up(service, session):
     def hits(cache):
         return REGISTRY.counter(
             "repro_serving_cache_total", cache=cache, outcome="hit"
         ).value
 
-    before = {cache: hits(cache) for cache in ("model", "feature")}
-    assert len(service._models) == 0 and len(service._features) == 0
-    service.predict(ServeRequest(benchmark="505.mcf"))
-    assert len(service._models) == 1 and len(service._features) == 1
-    # answer-memo misses reach the LRUs: another benchmark reuses the
-    # warm model, another kernel tier reuses the warm stream too
-    service.predict(ServeRequest(benchmark="999.specrand"))
-    assert len(service._models) == 1 and len(service._features) == 2
-    with jit.context(enabled=False):
-        service.predict(ServeRequest(benchmark="505.mcf"))
-    assert len(service._models) == 1 and len(service._features) == 2
-    assert hits("model") - before["model"] == 2
-    assert hits("feature") - before["feature"] == 1
+    first = session.resolve_artifact()
+    second = session.train(
+        benchmarks=BENCHMARKS, **{**SPEC, "epochs": 2}
+    ).artifact_id
+    try:
+        assert second != first
+        before = {cache: hits(cache) for cache in ("model", "feature")}
+        assert len(service._models) == 0 and len(service._features) == 0
+        service.predict(ServeRequest(benchmark="505.mcf", artifact=first))
+        assert len(service._models) == 1 and len(service._features) == 1
+        # answer-memo misses reach the LRUs: another benchmark reuses the
+        # warm model, another artifact reuses the warm stream
+        service.predict(
+            ServeRequest(benchmark="999.specrand", artifact=first)
+        )
+        assert len(service._models) == 1 and len(service._features) == 2
+        service.predict(ServeRequest(benchmark="505.mcf", artifact=second))
+        assert len(service._models) == 2 and len(service._features) == 2
+        assert hits("model") - before["model"] == 1
+        assert hits("feature") - before["feature"] == 1
+    finally:
+        # later tests serve the module's newest artifact: keep it the first
+        session.store.delete(second)
 
 
 def test_batch_results_in_request_order(service, session):
@@ -223,32 +232,6 @@ def test_serve_request_parsing():
     ) == ServeRequest(benchmark="x")
 
 
-def test_stats_report_jit_activity(service):
-    service.predict(ServeRequest(benchmark="505.mcf"))
-    stats = service.stats()
-    assert stats["scale"] == "smoke"
-    assert stats["models_cached"] >= 1
-    jit_section = stats["jit"]
-    assert jit_section["enabled"] is True  # default tier
-    # the smoke perfvec model is an lstm: the predict above must have
-    # dispatched compiled kernels (compiled now or already resident)
-    assert jit_section["kernel_calls"] >= 1
-
-
-def test_jit_off_service_matches_jit_on(session):
-    on = PredictionService(session=session)
-    off = PredictionService(
-        scale="smoke", cache_dir=session.cache_dir, jit=False
-    )
-    request = ServeRequest(benchmark="505.mcf")
-    times_on = on.predict(request).times
-    times_off = off.predict(request).times
-    assert times_on.keys() == times_off.keys()
-    for name in times_on:
-        assert times_on[name] == pytest.approx(times_off[name], rel=1e-5)
-    assert off.stats()["jit"]["enabled"] is False
-
-
 # -- the answer memo ----------------------------------------------------------
 @pytest.mark.parametrize("family, name", [
     ("perfvec", "505.mcf"),
@@ -312,16 +295,6 @@ def test_each_artifact_answers_from_its_own_entries(tmp_path):
     assert new.times != old.times
     assert pinned.times == old.times
     assert worker["answers_cached"] == 2
-
-
-def test_kernel_tier_is_part_of_the_key(service, session):
-    request = ServeRequest(benchmark="505.mcf")
-    service.predict(request)  # the compiled tier's answer is now held
-    with jit.context(enabled=False):
-        reference = service.predict(request).times
-    off = Session(scale="smoke", cache_dir=session.cache_dir, jit=False)
-    assert reference == off.predict_many(["505.mcf"])["505.mcf"]
-    assert service.stats()["answers_cached"] == 2
 
 
 def test_signature_times_are_part_of_the_key(service, session):
