@@ -1,22 +1,26 @@
 """Timing-model tests: absolute sanity plus directional invariants.
 
-A timing simulator has no bit-exact oracle; what must hold are the
-first-order architecture laws: more cache -> fewer misses -> less time,
-wider/out-of-order cores -> higher IPC, latency-bound kernels insensitive
-to bandwidth, and the incremental-latency identity PerfVec relies on.
+A timing simulator has no external bit-exact oracle; what must hold are
+the first-order architecture laws: more cache -> fewer misses -> less
+time, wider/out-of-order cores -> higher IPC, latency-bound kernels
+insensitive to bandwidth, and the incremental-latency identity PerfVec
+relies on.  A golden digest over the suite pins the simulator's exact
+output, so a speed-only rewrite must reproduce every retire cycle and
+statistic bit for bit.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.isa import assemble
 from repro.sim import CPUSimulator, simulate
-from repro.uarch import presets, sample_configs
-from repro.uarch.config import CoreKind
+from repro.uarch import PRESETS, presets, sample_configs
+from repro.uarch.config import CoreKind, PredictorKind
 from repro.vm import run_program
-from repro.workloads import trace_benchmark
+from repro.workloads import ALL_BENCHMARKS, trace_benchmark
 from repro.workloads.kernels import graph, linear_algebra
 
 
@@ -186,3 +190,102 @@ def test_matmul_faster_with_bigger_l1_until_fits():
     t128 = simulate(trace, base.with_cache_sizes(l1d_kb=128)).total_cycles
     assert t32 < t4
     assert abs(t128 - t32) / t32 < 0.15  # already fits: little further gain
+
+
+# ---------------------------------------------------------------------------
+# Golden digest: the exact output of the simulator, pinned.
+# ---------------------------------------------------------------------------
+#: Exercises what no suite kernel issues (``fence``) next to dividers,
+#: call/return through the RAS and an indirect jump through the BTB.
+CONTROL_MIX_ASM = """
+.data
+buf: .space 1024
+.text
+main:  movi r1, buf
+       movi r2, 40
+       movi r7, 3
+       fmovi f3, 1.5
+loop:  ld   r3, [r1]
+       addi r3, r3, 7
+       st   r3, [r1 + 8]
+       div  r4, r3, r7
+       rem  r5, r3, r7
+       fence
+       call work
+       movi r6, back
+       jr   r6
+back:  addi r1, r1, 16
+       subi r2, r2, 1
+       bnez r2, loop
+       halt
+work:  mul  r8, r4, r5
+       itof f1, r8
+       fdiv f2, f1, f3
+       ret
+"""
+
+#: sha256 over every (trace, config) result of the test below.  Only a
+#: change to the modelled timing may move it; a speed-only change may not.
+GOLDEN_DIGEST = "82ebb07abdc218ca1b1328e4f7d6d6704b098078b3e43c59db348b7f9f754b20"
+
+
+def golden_configs():
+    """The bench scale's 13 sampled uarchs plus the 7 presets: every
+    predictor kind, exclusive and inclusive L2, in-order and OoO cores,
+    unpipelined dividers."""
+    bench = sample_configs(n_ooo=10, n_inorder=3, seed=0, include_presets=False)
+    return [*bench, *PRESETS.values()]
+
+
+def result_digest(results) -> str:
+    h = hashlib.sha256()
+    for res in results:
+        h.update(res.config_name.encode())
+        h.update(np.ascontiguousarray(res.retire_cycles, dtype=np.int64).tobytes())
+        h.update(repr(sorted(res.stats.items())).encode())
+    return h.hexdigest()
+
+
+def test_golden_digest_over_suite_and_control_mix():
+    configs = golden_configs()
+    assert {c.branch.kind for c in configs} == set(PredictorKind)
+    assert {c.l2_exclusive for c in configs} == {False, True}
+    assert {c.core.kind for c in configs} == set(CoreKind)
+    traces = [trace_benchmark(name, 1000) for name in ALL_BENCHMARKS]
+    traces.append(run_program(assemble(CONTROL_MIX_ASM)))
+    results = [simulate(t, cfg) for t in traces for cfg in configs]
+    assert result_digest(results) == GOLDEN_DIGEST
+
+
+def test_run_order_never_changes_results():
+    """Timing traces A, B, A config-major (every run on a new trace) and
+    trace-major (consecutive runs share one) gives identical results.
+    B has A's name and length but different content."""
+    a = trace_benchmark("505.mcf", 1000)
+    b = trace_benchmark("505.mcf", 1000, seed=1)
+    assert a.name == b.name and len(a) == len(b)
+    assert not np.array_equal(a.mem_addr, b.mem_addr)
+    traces = [a, b, a]
+    configs = golden_configs()[::4]
+    config_major = {
+        (j, k): CPUSimulator(cfg).run(t)
+        for k, cfg in enumerate(configs) for j, t in enumerate(traces)
+    }
+    trace_major = {
+        (j, k): CPUSimulator(cfg).run(t)
+        for j, t in enumerate(traces) for k, cfg in enumerate(configs)
+    }
+    for key, res in config_major.items():
+        other = trace_major[key]
+        assert res.config_name == other.config_name
+        assert res.freq_ghz == other.freq_ghz
+        np.testing.assert_array_equal(res.retire_cycles, other.retire_cycles)
+        assert res.stats == other.stats
+    for k in range(len(configs)):
+        np.testing.assert_array_equal(
+            config_major[0, k].retire_cycles, config_major[2, k].retire_cycles
+        )
+    assert any(
+        config_major[0, k].stats != config_major[1, k].stats
+        for k in range(len(configs))
+    )
