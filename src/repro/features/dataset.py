@@ -23,13 +23,23 @@ Caching is two-level, both under ``cache_dir``:
   array per job, written by the worker that computed it.  Shards let an
   interrupted parallel build resume without re-simulating finished
   columns; they are folded into the merged entry and deleted as soon as
-  every column of a benchmark lands.
+  every column of a benchmark lands.  Being transient, shards are written
+  uncompressed; the long-lived merged entry is compressed.
+
+An unreadable entry of either kind (a torn write, bit rot) is logged and
+recomputed, and the rewrite repairs it.
+
+Each simulation job times the trace its frontend memoized, so a serial
+build runs a benchmark's k simulations back to back on one trace object,
+and :mod:`repro.sim.cpu` decodes that trace once for all k.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +54,8 @@ from repro.uarch.config import MicroarchConfig
 #: Default ``cache_dir`` sentinel: resolve ``REPRO_CACHE_DIR`` (or
 #: ``.repro_cache/``) at call time via :mod:`repro.cache`.
 DEFAULT_CACHE_DIR = "auto"
+
+log = logging.getLogger(__name__)
 
 
 def _resolve_cache_dir(cache_dir: str | None) -> str | None:
@@ -158,12 +170,25 @@ def _shard_path(
     )
 
 
-def _atomic_savez(path: str, **arrays: np.ndarray) -> None:
+def _atomic_savez(path: str, compress: bool, **arrays: np.ndarray) -> None:
     """Write an npz atomically so concurrent builders never see partial files."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp.npz"
-    np.savez_compressed(tmp, **arrays)
+    (np.savez_compressed if compress else np.savez)(tmp, **arrays)
     os.replace(tmp, path)
+
+
+def _load_npz(path: str, *keys: str) -> tuple[np.ndarray, ...] | None:
+    """The ``keys`` arrays of the npz at ``path``; None when it is absent
+    or unreadable, so the caller recomputes (and rewrites) it."""
+    try:
+        with np.load(path) as data:
+            return tuple(data[key] for key in keys)
+    except FileNotFoundError:
+        return None  # never written, or a concurrent builder removed it
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        log.warning("corrupt dataset cache entry %s (%s): recomputing", path, exc)
+        return None
 
 
 @dataclass(frozen=True)
@@ -203,7 +228,7 @@ def _run_sim_job(job: _SimJob) -> np.ndarray:
     else:
         data = CPUSimulator(job.config).run(trace).incremental_latencies
     if job.shard_path:
-        _atomic_savez(job.shard_path, data=data)
+        _atomic_savez(job.shard_path, compress=False, data=data)
     return data
 
 
@@ -269,9 +294,9 @@ def _build_many(
             path = _cache_path(
                 cache_dir, name, max_instructions, seed, digest, isa
             )
-            if os.path.exists(path):
-                with np.load(path) as data:
-                    arrays[name] = (data["features"], data["targets"])
+            loaded = _load_npz(path, "features", "targets")
+            if loaded is not None:
+                arrays[name] = loaded
                 continue
         pending[name] = _benchmark_jobs(
             name, configs, max_instructions, seed, cache_dir, isa
@@ -283,13 +308,11 @@ def _build_many(
         done: dict[_SimJob, np.ndarray] = {}
         todo = []
         for job in flat:
-            if job.shard_path and os.path.exists(job.shard_path):
-                try:
-                    with np.load(job.shard_path) as data:
-                        done[job] = data["data"]
+            if job.shard_path:
+                loaded = _load_npz(job.shard_path, "data")
+                if loaded is not None:
+                    done[job] = loaded[0]
                     continue
-                except OSError:
-                    pass  # concurrent builder merged + removed it: recompute
             todo.append(job)
         if progress is not None:
             progress.total = len(todo)  # cache/shard hits are not jobs
@@ -306,7 +329,9 @@ def _build_many(
                 path = _cache_path(
                     cache_dir, name, max_instructions, seed, digest, isa
                 )
-                _atomic_savez(path, features=features, targets=targets)
+                _atomic_savez(
+                    path, compress=True, features=features, targets=targets
+                )
                 # Shards only go once the merged entry is durable, so a
                 # crash in between never loses resume state.
                 for job in bench_jobs:

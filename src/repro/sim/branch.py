@@ -5,6 +5,10 @@ varies: static (backward-taken/forward-not-taken), bimodal 2-bit counters,
 gshare (global history XOR pc) and a tournament chooser between the two.
 Indirect branches are predicted through a direct-mapped BTB; returns through
 a bounded return-address stack (``call`` pushes, ``ret`` pops).
+
+Each direction predictor's ``predict_update`` returns the prediction made
+before the outcome and trains on the outcome in one call; ``update`` is
+the same call without the answer.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ class StaticPredictor:
     __slots__ = ()
 
     def predict(self, pc: int, target: int) -> bool:
+        return target <= pc
+
+    def predict_update(self, pc: int, target: int, taken: bool) -> bool:
         return target <= pc
 
     def update(self, pc: int, target: int, taken: bool) -> None:
@@ -39,14 +46,19 @@ class BimodalPredictor:
     def predict(self, pc: int, target: int) -> bool:
         return self.table[(pc >> 2) & self.mask] >= 2
 
-    def update(self, pc: int, target: int, taken: bool) -> None:
+    def predict_update(self, pc: int, target: int, taken: bool) -> bool:
+        table = self.table
         idx = (pc >> 2) & self.mask
-        ctr = self.table[idx]
+        ctr = table[idx]
         if taken:
             if ctr < 3:
-                self.table[idx] = ctr + 1
+                table[idx] = ctr + 1
         elif ctr > 0:
-            self.table[idx] = ctr - 1
+            table[idx] = ctr - 1
+        return ctr >= 2
+
+    def update(self, pc: int, target: int, taken: bool) -> None:
+        self.predict_update(pc, target, taken)
 
 
 class GSharePredictor:
@@ -67,15 +79,21 @@ class GSharePredictor:
     def predict(self, pc: int, target: int) -> bool:
         return self.table[self._index(pc)] >= 2
 
-    def update(self, pc: int, target: int, taken: bool) -> None:
-        idx = self._index(pc)
-        ctr = self.table[idx]
+    def predict_update(self, pc: int, target: int, taken: bool) -> bool:
+        table = self.table
+        history = self.history
+        idx = ((pc >> 2) ^ history) & self.mask
+        ctr = table[idx]
         if taken:
             if ctr < 3:
-                self.table[idx] = ctr + 1
+                table[idx] = ctr + 1
         elif ctr > 0:
-            self.table[idx] = ctr - 1
-        self.history = ((self.history << 1) | int(taken)) & self.hist_mask
+            table[idx] = ctr - 1
+        self.history = ((history << 1) | int(taken)) & self.hist_mask
+        return ctr >= 2
+
+    def update(self, pc: int, target: int, taken: bool) -> None:
+        self.predict_update(pc, target, taken)
 
 
 class TournamentPredictor:
@@ -95,17 +113,22 @@ class TournamentPredictor:
             return self.gshare.predict(pc, target)
         return self.bimodal.predict(pc, target)
 
-    def update(self, pc: int, target: int, taken: bool) -> None:
-        b_correct = self.bimodal.predict(pc, target) == taken
-        g_correct = self.gshare.predict(pc, target) == taken
+    def predict_update(self, pc: int, target: int, taken: bool) -> bool:
+        b_pred = self.bimodal.predict_update(pc, target, taken)
+        g_pred = self.gshare.predict_update(pc, target, taken)
+        chooser = self.chooser
         idx = (pc >> 2) & self.mask
-        ctr = self.chooser[idx]
+        ctr = chooser[idx]
+        b_correct = b_pred == taken
+        g_correct = g_pred == taken
         if g_correct and not b_correct and ctr < 3:
-            self.chooser[idx] = ctr + 1
+            chooser[idx] = ctr + 1
         elif b_correct and not g_correct and ctr > 0:
-            self.chooser[idx] = ctr - 1
-        self.bimodal.update(pc, target, taken)
-        self.gshare.update(pc, target, taken)
+            chooser[idx] = ctr - 1
+        return g_pred if ctr >= 2 else b_pred
+
+    def update(self, pc: int, target: int, taken: bool) -> None:
+        self.predict_update(pc, target, taken)
 
 
 def make_direction_predictor(config: BranchPredictorConfig):
@@ -158,8 +181,7 @@ class BranchUnit:
     # -- resolution -----------------------------------------------------
     def resolve_conditional(self, pc: int, target: int, taken: bool) -> bool:
         self.branches += 1
-        predicted = self.direction.predict(pc, target)
-        self.direction.update(pc, target, taken)
+        predicted = self.direction.predict_update(pc, target, taken)
         if taken:
             self._btb_update(pc, target)
         if predicted != taken:

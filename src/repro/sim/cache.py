@@ -3,7 +3,10 @@
 Each set is an insertion-ordered dict used as an LRU list: a hit re-inserts
 the tag (moving it to the MRU end), a miss evicts the first (LRU) key.  This
 keeps every operation O(1) in pure Python, which matters — cache simulation
-is the hot path of the whole reproduction.
+is the hot path of the whole reproduction.  Sets are created on first
+touch (a large L2 has tens of thousands, most never used by a short
+trace), and the hierarchy takes the L1 hit path inline, so a hit costs
+one call.
 
 The hierarchy supports the paper's "exclusivity" cache knob: with an
 exclusive L2, an L2 hit *moves* the line into L1 and L1 victims are demoted
@@ -12,6 +15,8 @@ levels (mostly-inclusive, gem5's default behaviour).
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from repro.sim.memory import DRAMModel
 from repro.uarch.config import CacheConfig, MicroarchConfig
@@ -32,7 +37,8 @@ class Cache:
         if num_sets & (num_sets - 1):
             raise ValueError("number of sets must be a power of two")
         self.set_mask = num_sets - 1
-        self._sets: list[dict[int, None]] = [dict() for _ in range(num_sets)]
+        #: set index -> LRU dict, created on first touch
+        self._sets: defaultdict[int, dict[int, None]] = defaultdict(dict)
         self.hits = 0
         self.misses = 0
 
@@ -88,7 +94,9 @@ class CacheHierarchy:
         self.l1d = Cache(config.l1d)
         self.l2 = Cache(config.l2)
         self.exclusive = config.l2_exclusive
-        self.dram = DRAMModel(config.memory, config.core.freq_ghz)
+        self.dram = DRAMModel(
+            config.memory, config.core.freq_ghz, config.l1d.line_bytes
+        )
         self._l1i_lat = config.l1i.latency
         self._l1d_lat = config.l1d.latency
         self._l2_lat = config.l2.latency
@@ -108,8 +116,14 @@ class CacheHierarchy:
         queueing delay measured from a stale timestamp double-counts.
         """
         line = addr >> self._shift
-        if self.l1d.lookup(line):
+        l1d = self.l1d
+        s = l1d._sets[line & l1d.set_mask]
+        if line in s:  # Cache.lookup's hit path, inline
+            del s[line]
+            s[line] = None
+            l1d.hits += 1
             return L1_HIT
+        l1d.misses += 1
         if self.l2.lookup(line):
             if self.exclusive:
                 self.l2.remove(line)
@@ -143,8 +157,14 @@ class CacheHierarchy:
     def access_ifetch(self, addr: int, now: int) -> tuple[int, int]:
         """Instruction-side access; L1I is never exclusive with L2."""
         line = addr >> self._shift
-        if self.l1i.lookup(line):
+        l1i = self.l1i
+        s = l1i._sets[line & l1i.set_mask]
+        if line in s:  # Cache.lookup's hit path, inline
+            del s[line]
+            s[line] = None
+            l1i.hits += 1
             return self._l1i_lat, L1_HIT
+        l1i.misses += 1
         if self.l2.lookup(line):
             self.l1i.insert(line)
             return self._l1i_lat + self._l2_lat, L2_HIT

@@ -20,6 +20,13 @@ Retire times are the quantity PerfVec consumes: the paper's *incremental
 latency* of instruction ``i`` is ``retire[i] - retire[i-1]`` (zero when an
 instruction retires in the same cycle bundle as its predecessor), reported
 in the paper's unit of 0.1 ns.
+
+The trace is microarchitecture-independent, so its per-instruction decode
+(op class, functional-unit group, control kind, operand slots, address,
+branch outcome) is too: :func:`_decode` builds it once and keeps the last
+trace's rows in a one-entry memo, so a dataset build that times one trace
+on its k microarchitectures back to back decodes it once (Sec. IV-B's
+reuse argument applied to the simulator itself).
 """
 
 from __future__ import annotations
@@ -29,9 +36,11 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.isa.opcodes import OPCODE_BY_ID, OPCODE_IDS, OpClass
+from repro.isa.instructions import MAX_SRC_SLOTS
+from repro.isa.opcodes import OPCODE_BY_ID, OpClass
+from repro.isa.registers import NUM_REGS
 from repro.sim.branch import BranchUnit
-from repro.sim.cache import CacheHierarchy, L1_HIT
+from repro.sim.cache import CacheHierarchy, L1_HIT, MEM_HIT
 from repro.uarch.config import CoreKind, MicroarchConfig
 from repro.vm.trace import Trace
 
@@ -54,7 +63,80 @@ _FU_GROUP = {
     OpClass.HALT: -1,
 }
 
-_RET_ID = OPCODE_IDS["ret"]
+#: Control-transfer kinds of a decoded instruction (0: not a branch).
+_COND, _JUMP, _CALL, _RET, _INDIRECT = 1, 2, 3, 4, 5
+
+
+def _control_kind(spec) -> int:
+    if spec.is_conditional:
+        return _COND
+    if spec.opclass is OpClass.JUMP:
+        return _JUMP
+    if spec.opclass is OpClass.CALL:
+        return _CALL
+    if spec.is_indirect:
+        return _RET if spec.mnemonic == "ret" else _INDIRECT
+    return 0
+
+
+#: Per-opcode-id decode tables (index with ``trace.opid``).
+_OP_CLASS = np.array([int(spec.opclass) for spec in OPCODE_BY_ID])
+_OP_FU_GROUP = np.array([_FU_GROUP[spec.opclass] for spec in OPCODE_BY_ID])
+_OP_CONTROL = np.array([_control_kind(spec) for spec in OPCODE_BY_ID])
+
+_LOAD = int(OpClass.LOAD)
+_STORE = int(OpClass.STORE)
+_BARRIER = int(OpClass.BARRIER)
+
+#: Place values packing one operand-slot row into an int64 key: slots
+#: hold ``REG_NONE`` (-1) or a register id below ``NUM_REGS``.
+_SLOT_PLACES = (NUM_REGS + 1) ** np.arange(MAX_SRC_SLOTS, dtype=np.int64)
+
+
+def _slot_rows(slots: np.ndarray) -> list[tuple[int, ...]]:
+    """``slots`` as one padded tuple per instruction, each distinct row one
+    shared tuple.  A trace has a few dozen distinct rows, so a decode
+    creates almost no objects the garbage collector must track."""
+    keys = (slots.astype(np.int64) + 1) @ _SLOT_PLACES[: slots.shape[1]]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = [tuple(row) for row in slots[first].tolist()]
+    return list(map(distinct.__getitem__, inverse.tolist()))
+
+
+#: The last decoded ``(trace, rows)`` pair.  A pure cache: one strong
+#: reference, replaced by a single assignment, so a hit is exactly the
+#: trace object it was built from and concurrent callers at worst decode
+#: twice.  One entry, not one per trace: rows cost ~1 MB per 6k
+#: instructions, and dataset builds time each trace on all its
+#: microarchitectures consecutively anyway.
+_decoded: tuple[Trace, list[tuple]] | None = None
+
+
+def _decode(trace: Trace) -> list[tuple]:
+    """Per-instruction ``(pc, op class, FU group, control kind, src slots,
+    dst slots, address, taken, target)`` rows of ``trace``, memoized.
+
+    Slot rows keep the trace's ``REG_NONE`` (-1) padding; readers stop at
+    the first negative slot.
+    """
+    global _decoded
+    slot = _decoded
+    if slot is not None and slot[0] is trace:
+        return slot[1]
+    opid = trace.opid
+    rows = list(zip(
+        trace.pc.tolist(),
+        _OP_CLASS[opid].tolist(),
+        _OP_FU_GROUP[opid].tolist(),
+        _OP_CONTROL[opid].tolist(),
+        _slot_rows(trace.src_slots),
+        _slot_rows(trace.dst_slots),
+        trace.mem_addr.tolist(),
+        (trace.branch_taken == 1).tolist(),
+        trace.branch_target.tolist(),
+    ))
+    _decoded = (trace, rows)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -110,33 +192,21 @@ class CPUSimulator:
         """Time ``trace`` on this microarchitecture."""
         cfg = self.config
         core = cfg.core
-        ooo = core.kind is CoreKind.OUT_OF_ORDER
         n = len(trace)
         if n == 0:
             raise ValueError("empty trace")
+        rows = _decode(trace)
 
         hierarchy = CacheHierarchy(cfg)
         access_ifetch = hierarchy.access_ifetch
+        probe_data = hierarchy.probe_data
+        data_latency = hierarchy.data_latency
+        dram_access = hierarchy.dram.access
         line_shift = cfg.l1d.line_bytes.bit_length() - 1
         l1i_lat = cfg.l1i.latency
+        l1_lat = cfg.l1d.latency
         branch_unit = BranchUnit(cfg.branch)
-
-        # --- static opcode tables (plain lists for speed) ---------------
-        opclasses = [int(spec.opclass) for spec in OPCODE_BY_ID]
-        fu_group = [_FU_GROUP[spec.opclass] for spec in OPCODE_BY_ID]
-        is_cond = [spec.is_conditional for spec in OPCODE_BY_ID]
-        is_jump = [spec.opclass is OpClass.JUMP for spec in OPCODE_BY_ID]
-        is_call = [spec.opclass is OpClass.CALL for spec in OPCODE_BY_ID]
-        is_ind = [spec.is_indirect for spec in OPCODE_BY_ID]
-
-        # --- trace columns as plain Python lists -------------------------
-        opids = trace.opid.tolist()
-        pcs = trace.pc.tolist()
-        srcs = trace.src_slots.tolist()
-        dsts = trace.dst_slots.tolist()
-        addrs = trace.mem_addr.tolist()
-        takens = trace.branch_taken.tolist()
-        targets = trace.branch_target.tolist()
+        resolve_conditional = branch_unit.resolve_conditional
 
         # --- resources ----------------------------------------------------
         # Bandwidth-limited resources (issue slots, pipelined FU pools,
@@ -158,22 +228,24 @@ class CPUSimulator:
         port_cap = core.mem_ports
         mshrs = [0] * core.mshrs
         issue_counts: dict[int, int] = {}
-        iw_cap = core.issue_width
+        iw = core.issue_width
 
-        reg_ready = [0] * 64
-        retire = [0] * n
+        reg_ready = [0] * NUM_REGS
+        ooo = core.kind is CoreKind.OUT_OF_ORDER
+        rob = core.rob_size if ooo else 0
+        cw = core.commit_width
+        # Zero padding stands in for "no instruction that far back", so
+        # ``retire[-rob]`` and ``retire[-cw]`` need no bounds checks: a
+        # zero never binds, since every retire cycle is >= 1.
+        pad = max(rob, cw)
+        retire = [0] * pad
+        push_retire = retire.append
+        last_retire = 0
         prev_issue = 0
 
         fw = core.fetch_width
         fe_depth = core.frontend_depth
-        iw = core.issue_width
-        cw = core.commit_width
-        rob = core.rob_size
         penalty = cfg.branch.mispredict_penalty
-
-        LOAD = int(OpClass.LOAD)
-        STORE = int(OpClass.STORE)
-        BARRIER = int(OpClass.BARRIER)
 
         fetch_cycle = 0
         fetched = 0
@@ -182,11 +254,7 @@ class CPUSimulator:
         max_complete = 0
         fence_ready = 0
 
-        for i in range(n):
-            pc = pcs[i]
-            opid = opids[i]
-            oc = opclasses[opid]
-
+        for pc, oc, g, ctl, srcs, dsts, addr, taken, target in rows:
             # ---- fetch ------------------------------------------------
             if fetch_cycle < redirect:
                 fetch_cycle = redirect
@@ -208,153 +276,134 @@ class CPUSimulator:
             # ---- dispatch / window -------------------------------------
             t = ft + fe_depth
             if ooo:
-                if i >= rob:
-                    r = retire[i - rob]
-                    if r > t:
-                        t = r
+                r = retire[-rob]
+                if r > t:
+                    t = r
             elif prev_issue > t:
                 t = prev_issue
 
             # ---- operand readiness -------------------------------------
-            for s in srcs[i]:
+            for s in srcs:
                 if s < 0:
                     break
                 r = reg_ready[s]
                 if r > t:
                     t = r
-            if oc == BARRIER:
-                if max_complete > t:
-                    t = max_complete
-            elif (oc == LOAD or oc == STORE) and fence_ready > t:
-                t = fence_ready
 
-            # ---- structural hazards / bandwidth ---------------------------
-            g = fu_group[opid]
-            is_mem = oc == LOAD or oc == STORE
-            if g >= 0 and not fu_pipe[g]:
-                # unpipelined unit (divider): held for the whole operation
-                units = fu_busy[g]
-                best = 0
-                bt = units[0]
-                for u in range(1, len(units)):
-                    if units[u] < bt:
-                        bt = units[u]
-                        best = u
-                if bt > t:
-                    t = bt
-            # per-cycle capacity walk: issue slots and (if needed) FU/port
-            # bandwidth must all have room in the same cycle
-            while True:
-                if issue_counts.get(t, 0) >= iw_cap:
+            # ---- structural hazards, execution -------------------------
+            # Each resource kind walks the per-cycle counters it needs:
+            # issue slots and (if needed) FU or port bandwidth must all
+            # have room in the same cycle.  The walk keeps the counts it
+            # read at the chosen cycle, and booking adds one to them.
+            if g >= 0:
+                if fu_pipe[g]:
+                    counts = fu_counts[g]
+                    cap = fu_cap[g]
+                    while ((used := issue_counts.get(t, 0)) >= iw
+                           or (busy := counts.get(t, 0)) >= cap):
+                        t += 1
+                    counts[t] = busy + 1
+                    complete = t + fu_lat[g]
+                else:
+                    # unpipelined unit (divider): held for the whole operation
+                    units = fu_busy[g]
+                    free = min(units)
+                    if free > t:
+                        t = free
+                    while (used := issue_counts.get(t, 0)) >= iw:
+                        t += 1
+                    complete = t + fu_lat[g]
+                    units[units.index(free)] = complete
+            elif oc == _LOAD or oc == _STORE:
+                if fence_ready > t:
+                    t = fence_ready
+                while ((used := issue_counts.get(t, 0)) >= iw
+                       or (ports := port_counts.get(t, 0)) >= port_cap):
                     t += 1
-                    continue
-                if g >= 0 and fu_pipe[g] and fu_counts[g].get(t, 0) >= fu_cap[g]:
-                    t += 1
-                    continue
-                if is_mem and port_counts.get(t, 0) >= port_cap:
-                    t += 1
-                    continue
-                break
-
-            # ---- execution ----------------------------------------------
-            if oc == LOAD:
-                mlvl = hierarchy.probe_data(addrs[i])
-                if mlvl != 1:
+                level = probe_data(addr)
+                if oc == _STORE:
+                    # state update + bandwidth consumption; the write
+                    # buffer hides store latency from the pipeline
+                    if level == MEM_HIT:
+                        dram_access(t)
+                    complete = t + 1
+                elif level == L1_HIT:
+                    complete = t + l1_lat
+                else:
                     # an MSHR must be free before the miss can go out;
                     # DRAM queueing is measured from the settled time
-                    mbest = 0
-                    mt = mshrs[0]
-                    for u in range(1, len(mshrs)):
-                        if mshrs[u] < mt:
-                            mt = mshrs[u]
-                            mbest = u
-                    if mt > t:
-                        t = mt
-                    complete = t + hierarchy.data_latency(mlvl, t)
-                    mshrs[mbest] = complete
-                else:
-                    complete = t + hierarchy.data_latency(mlvl, t)
-            elif oc == STORE:
-                # state update + bandwidth consumption; the write buffer
-                # hides store latency from the pipeline
-                slvl = hierarchy.probe_data(addrs[i])
-                if slvl == 3:
-                    hierarchy.dram.access(t)
-                complete = t + 1
-            elif g >= 0:
-                complete = t + fu_lat[g]
-                if not fu_pipe[g]:
-                    fu_busy[g][best] = complete
+                    free = min(mshrs)
+                    if free > t:
+                        t = free
+                        used = issue_counts.get(t, 0)
+                        ports = port_counts.get(t, 0)
+                    complete = t + data_latency(level, t)
+                    mshrs[mshrs.index(free)] = complete
+                # booked at the final issue cycle, after any MSHR wait
+                port_counts[t] = ports + 1
             else:
+                if oc == _BARRIER and max_complete > t:
+                    t = max_complete
+                while (used := issue_counts.get(t, 0)) >= iw:
+                    t += 1
                 complete = t + 1
-
-            # book the consumed bandwidth at the chosen cycle
-            issue_counts[t] = issue_counts.get(t, 0) + 1
-            if g >= 0 and fu_pipe[g]:
-                fu_counts[g][t] = fu_counts[g].get(t, 0) + 1
-            if is_mem:
-                port_counts[t] = port_counts.get(t, 0) + 1
+                if oc == _BARRIER:
+                    fence_ready = complete
+            issue_counts[t] = used + 1
 
             # ---- control resolution --------------------------------------
-            if is_cond[opid]:
-                mis = branch_unit.resolve_conditional(pc, targets[i], takens[i] == 1)
-                if mis:
-                    redirect = complete + penalty
-                elif takens[i] == 1 and fetch_cycle <= ft:
-                    fetch_cycle = ft + 1
-                    fetched = 0
-                    cur_line = -1
-            elif is_jump[opid]:
-                branch_unit.resolve_direct_jump(pc, targets[i])
-                if fetch_cycle <= ft:
-                    fetch_cycle = ft + 1
-                    fetched = 0
-                    cur_line = -1
-            elif is_call[opid]:
-                branch_unit.resolve_call(pc, targets[i])
-                if fetch_cycle <= ft:
-                    fetch_cycle = ft + 1
-                    fetched = 0
-                    cur_line = -1
-            elif is_ind[opid]:
-                if opid == _RET_ID:
-                    mis = branch_unit.resolve_return(pc, targets[i])
+            if ctl:
+                if ctl == _COND:
+                    if resolve_conditional(pc, target, taken):
+                        redirect = complete + penalty
+                    elif taken and fetch_cycle <= ft:
+                        fetch_cycle = ft + 1
+                        fetched = 0
+                        cur_line = -1
+                elif ctl == _JUMP or ctl == _CALL:
+                    if ctl == _JUMP:
+                        branch_unit.resolve_direct_jump(pc, target)
+                    else:
+                        branch_unit.resolve_call(pc, target)
+                    if fetch_cycle <= ft:
+                        fetch_cycle = ft + 1
+                        fetched = 0
+                        cur_line = -1
                 else:
-                    mis = branch_unit.resolve_indirect(pc, targets[i])
-                if mis:
-                    redirect = complete + penalty
-                elif fetch_cycle <= ft:
-                    fetch_cycle = ft + 1
-                    fetched = 0
-                    cur_line = -1
+                    if ctl == _RET:
+                        mis = branch_unit.resolve_return(pc, target)
+                    else:
+                        mis = branch_unit.resolve_indirect(pc, target)
+                    if mis:
+                        redirect = complete + penalty
+                    elif fetch_cycle <= ft:
+                        fetch_cycle = ft + 1
+                        fetched = 0
+                        cur_line = -1
 
             # ---- writeback -----------------------------------------------
-            for d in dsts[i]:
+            for d in dsts:
                 if d < 0:
                     break
                 reg_ready[d] = complete
             if complete > max_complete:
                 max_complete = complete
-            if oc == BARRIER:
-                fence_ready = complete
 
             # ---- retire ---------------------------------------------------
             rt = complete + 1
-            if i:
-                p = retire[i - 1]
-                if p > rt:
-                    rt = p
-            if i >= cw:
-                c = retire[i - cw] + 1
-                if c > rt:
-                    rt = c
-            retire[i] = rt
+            if last_retire > rt:
+                rt = last_retire
+            c = retire[-cw] + 1
+            if c > rt:
+                rt = c
+            push_retire(rt)
+            last_retire = rt
             prev_issue = t
 
         stats: dict[str, int | float] = {
             "instructions": n,
-            "cycles": retire[-1],
-            "ipc": n / max(retire[-1], 1),
+            "cycles": last_retire,
+            "ipc": n / max(last_retire, 1),
             "branches": branch_unit.branches,
             "mispredicts": branch_unit.mispredicts,
         }
@@ -362,7 +411,7 @@ class CPUSimulator:
         return SimResult(
             config_name=cfg.name,
             freq_ghz=core.freq_ghz,
-            retire_cycles=np.asarray(retire, dtype=np.int64),
+            retire_cycles=np.array(retire[pad:], dtype=np.int64),
             stats=stats,
         )
 

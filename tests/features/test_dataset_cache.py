@@ -7,6 +7,7 @@ cache files and the same ``TraceDataset`` arrays as a serial one.
 """
 
 import hashlib
+import logging
 import os
 
 import numpy as np
@@ -96,6 +97,39 @@ def test_shards_resume_interrupted_build(tmp_path):
     assert not (tmp_path / "shards").exists()
     reference = build_dataset(["505.mcf"], _configs(), 400, cache_dir=None)
     np.testing.assert_array_equal(ds.targets, reference.targets)
+
+
+def test_corrupt_entries_are_recomputed(tmp_path, caplog):
+    """Garbage in a merged entry or a shard is logged and recomputed, not
+    raised out of the build, and the rewrite repairs the entry."""
+    from repro.features.dataset import (
+        _benchmark_jobs, _cache_path, _config_digest,
+    )
+
+    cache = str(tmp_path)
+    digest = _config_digest(_configs())
+    build_dataset(BENCHMARKS, _configs(), 400, cache_dir=cache)
+    merged = _cache_path(cache, "505.mcf", 400, None, digest)
+    # the other benchmark's build was interrupted after writing a shard
+    os.remove(_cache_path(cache, "999.specrand", 400, None, digest))
+    shard = _benchmark_jobs("999.specrand", _configs(), 400, None, cache)[1]
+    os.makedirs(os.path.dirname(shard.shard_path))
+    for path in (merged, shard.shard_path):
+        with open(path, "wb") as fh:
+            fh.write(b"not an npz file")
+
+    with caplog.at_level(logging.WARNING, logger="repro.features.dataset"):
+        ds = build_dataset(BENCHMARKS, _configs(), 400, cache_dir=cache)
+    reference = build_dataset(BENCHMARKS, _configs(), 400, cache_dir=None)
+    np.testing.assert_array_equal(ds.features, reference.features)
+    np.testing.assert_array_equal(ds.targets, reference.targets)
+    logged = " ".join(record.getMessage() for record in caplog.records)
+    assert merged in logged and shard.shard_path in logged
+    assert not (tmp_path / "shards").exists()
+    with np.load(merged) as data:
+        np.testing.assert_array_equal(
+            data["targets"], reference.segment("505.mcf")[1]
+        )
 
 
 def test_no_cache_dir_never_touches_disk(tmp_path, monkeypatch):

@@ -131,8 +131,26 @@ def test_cache_never_exceeds_capacity(lines):
     for line in lines:
         if not c.lookup(line):
             c.insert(line)
-    resident = sum(len(s) for s in c._sets)
+    resident = sum(len(s) for s in c._sets.values())
     assert resident <= c.config.num_lines
+
+
+def test_dram_transfers_move_one_cache_line():
+    """The channel is busy for one line per fill: on cortex-a7-like
+    (12 GB/s at 1.4 GHz), 64-byte lines take 7 cycles and 128-byte lines
+    take 15."""
+    import dataclasses
+
+    base = cortex_a7_like()
+    wide = dataclasses.replace(
+        base,
+        name="a7-128B-lines",
+        l1i=dataclasses.replace(base.l1i, line_bytes=128),
+        l1d=dataclasses.replace(base.l1d, line_bytes=128),
+        l2=dataclasses.replace(base.l2, line_bytes=128),
+    )
+    assert CacheHierarchy(base).dram.transfer_cycles == 7
+    assert CacheHierarchy(wide).dram.transfer_cycles == 15
 
 
 def test_dram_bandwidth_queueing():

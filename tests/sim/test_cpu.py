@@ -226,7 +226,7 @@ work:  mul  r8, r4, r5
 
 #: sha256 over every (trace, config) result of the test below.  Only a
 #: change to the modelled timing may move it; a speed-only change may not.
-GOLDEN_DIGEST = "82ebb07abdc218ca1b1328e4f7d6d6704b098078b3e43c59db348b7f9f754b20"
+GOLDEN_DIGEST = "b12fd1e55733283e77e3b346aa74bbc9a154af9d53f8d2fa017033a1ebc7abd1"
 
 
 def golden_configs():
@@ -253,13 +253,16 @@ def test_golden_digest_over_suite_and_control_mix():
     assert {c.core.kind for c in configs} == set(CoreKind)
     traces = [trace_benchmark(name, 1000) for name in ALL_BENCHMARKS]
     traces.append(run_program(assemble(CONTROL_MIX_ASM)))
+    # at bench length the pointer chase queues loads for MSHRs often
+    # enough that where a waiting load books its issue slot shows
+    traces.append(trace_benchmark("505.mcf", 6000))
     results = [simulate(t, cfg) for t in traces for cfg in configs]
     assert result_digest(results) == GOLDEN_DIGEST
 
 
 def test_run_order_never_changes_results():
     """Timing traces A, B, A config-major (every run on a new trace) and
-    trace-major (consecutive runs share one) gives identical results.
+    trace-major (consecutive runs share one) give identical results.
     B has A's name and length but different content."""
     a = trace_benchmark("505.mcf", 1000)
     b = trace_benchmark("505.mcf", 1000, seed=1)
