@@ -20,8 +20,8 @@ import threading
 import time
 
 from repro.cache import results_dir
-from repro.experiments import run_experiment
 from repro.experiments.common import ExperimentResult
+from repro.pipeline import run_spec
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "bench")
 JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "0"))  # 0 = all cores
@@ -155,7 +155,7 @@ def metrics_block() -> dict:
 
 def run_and_record(name: str) -> ExperimentResult:
     """Run one experiment, persist and report its rows."""
-    result = run_experiment(name, scale=SCALE, jobs=JOBS)
+    result = run_spec(name, scale=SCALE, jobs=JOBS).result
     text = result.render()
     print(text)
     result.save()

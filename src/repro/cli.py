@@ -4,7 +4,7 @@ Subcommands::
 
     repro list                      # available experiments and scales
     repro run fig3_seen_unseen      # one experiment (default scale: bench)
-    repro run-all --scale bench     # every experiment, saving JSON results
+    repro run-all --scale bench     # every experiment as one plan, saving JSON
     repro pipeline list             # registered pipeline specs + stages
     repro pipeline run <spec>       # a spec by name or .toml/.json path
     repro pipeline sweep <spec>     # expand a sweep grid, run every scenario
@@ -26,12 +26,11 @@ benchmark names against another trace frontend (``repro frontends
 list``); imported external traces serve via ``--isa imported``.
 
 Every runner subcommand takes ``--jobs N`` (default: all cores) to fan
-trace simulations — and, for ``run-all``/pipelines, whole
-experiments/stages — out across worker processes via
-:mod:`repro.runtime`, ``--cache-dir DIR`` to redirect every on-disk
-cache (datasets + models + stage artifacts; equivalent to setting
-``REPRO_CACHE_DIR``), and ``--results-dir DIR`` to redirect result JSON
-files (default: ``<cache root>/results``).
+trace simulations — and, for ``run``/``run-all``/pipelines, independent
+pipeline stages — out across worker processes, ``--cache-dir DIR`` to
+redirect every on-disk cache (datasets + models + stage artifacts;
+equivalent to setting ``REPRO_CACHE_DIR``), and ``--results-dir DIR``
+to redirect result JSON files (default: ``<cache root>/results``).
 
 Observability (``repro.obs``): ``--obs`` / ``--no-obs`` on the serving
 and pipeline subcommands turns structured span tracing on or off
@@ -62,46 +61,53 @@ def _progress(total: int):
 
 
 def _cmd_list(_args) -> int:
-    from repro.experiments import EXPERIMENTS, SCALES
+    from repro.experiments import SCALES
+    from repro.pipeline.presets import SPECS
 
     print("experiments:")
-    for name in EXPERIMENTS:
+    for name in SPECS:
         print(f"  {name}")
     print("scales:", ", ".join(SCALES))
     return 0
 
 
 def _cmd_run(args) -> int:
-    from repro.experiments import run_experiment
+    from repro.core.errors import UnknownExperimentError
+    from repro.pipeline import run_spec
+    from repro.pipeline.presets import SPECS
 
+    if args.experiment not in SPECS:
+        raise UnknownExperimentError(args.experiment, SPECS)
     print(_resolved_header(f"run {args.experiment}", args.scale, args.jobs))
-    result = run_experiment(args.experiment, scale=args.scale, jobs=args.jobs)
-    print(result.render())
-    if args.save:
-        path = result.save()
+    result = run_spec(SPECS[args.experiment], scale=args.scale,
+                      jobs=args.jobs, save=args.save)
+    print(result.result.render())
+    for path in result.saved:
         print(f"saved: {path}")
     return 0
 
 
 def _cmd_run_all(args) -> int:
-    from repro.experiments import EXPERIMENTS, run_all
+    """`repro run-all`: every preset as one union plan; each result is
+    saved as its report lands, and a failure costs only its dependents."""
+    from repro.pipeline import run_union
+    from repro.pipeline.presets import SPECS
 
     print(_resolved_header("run-all", args.scale, args.jobs))
-    outcomes = run_all(
-        scale=args.scale, jobs=args.jobs,
-        progress=_progress(len(EXPERIMENTS)), save=True,
-    )
-    failures = []
-    for outcome in outcomes:
-        print(f"\n### {outcome.name} (scale={args.scale})")
-        if not outcome.ok:
-            print(f"FAILED:\n{outcome.error}")
-            failures.append(outcome.name)
-            continue
-        print(outcome.result.render())
-        print(f"saved: {outcome.result.save()}")
-    if failures:
-        print(f"\nfailed experiments: {failures}")
+    batch = run_union(list(SPECS.values()), scale=args.scale, jobs=args.jobs,
+                      save=True, progress=_progress(0))
+    for point in batch.points:
+        print(f"\n### {point.spec_name} (scale={point.scale})")
+        print(point.result.render())
+        for path in point.saved:
+            print(f"saved: {path}")
+    for failure in batch.failures:
+        print(f"\n### {failure.spec_name} FAILED at stage "
+              f"{failure.stage_name!r}:\n{failure.detail}")
+    print(f"\nrun-all total: {batch.executed} executed, {batch.cached} cached")
+    if batch.failures:
+        print("failed experiments: " + ", ".join(
+            f"{f.spec_name} (stage {f.stage_name!r})" for f in batch.failures))
         return 1
     return 0
 
@@ -543,8 +549,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="re-execute every stage, ignoring artifacts")
     p_pipe.add_argument(
         "--backend", choices=["local", "queue"], default="local",
-        help="stage executor: in-process waves (local, default) or the "
-             "distributed work-stealing queue under the cache root",
+        help="stage executor: this host's processes (local, default) or "
+             "the distributed work-stealing queue under the cache root",
     )
     p_pipe.add_argument(
         "--workers", type=int, default=0, metavar="N",

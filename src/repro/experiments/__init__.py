@@ -1,12 +1,11 @@
 """Experiment harness: one module per table/figure of the paper.
 
 Every experiment is a declarative :mod:`repro.pipeline` spec (the
-module's ``SPEC``) plus a registered analysis function; ``run(scale) ->
-ExperimentResult`` is a thin shim that executes the spec through the
-pipeline runner with per-stage artifact reuse.  The modules are
-registered in :mod:`~repro.experiments.registry` (run callables) and
-:mod:`repro.pipeline.presets` (specs); ``python -m repro`` is the CLI
-front end (see ``README.md`` for the experiment/figure table).
+module's ``SPEC``) plus a registered analysis function.  The specs are
+registered in :mod:`repro.pipeline.presets` and run through
+:func:`repro.pipeline.run_spec` (one) or :func:`repro.pipeline.run_union`
+(a batch, shared stages once); ``python -m repro`` is the CLI front end
+(see ``README.md`` for the experiment/figure table).
 
 ==========================  =============================================
 module                      reproduces
@@ -32,20 +31,10 @@ from repro.experiments.common import (
     ScaleConfig,
     get_scale,
 )
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    ExperimentOutcome,
-    run_all,
-    run_experiment,
-)
 
 __all__ = [
     "SCALES",
     "ExperimentResult",
     "ScaleConfig",
     "get_scale",
-    "EXPERIMENTS",
-    "ExperimentOutcome",
-    "run_all",
-    "run_experiment",
 ]

@@ -12,7 +12,9 @@ trained foundation models are memoized in-process per (scale, split) *and*
 persisted through :class:`repro.models.store.ModelStore`, so Figs. 3-8
 share models exactly as the paper does ("The updated model is used in the
 following experiments") and repeat invocations — including fresh
-processes — load the stored artifact instead of retraining.
+processes — load the stored artifact instead of retraining.  The preset
+specs declare each shared foundation with the same ``train`` stage, so
+the union plan of a batch (``repro run-all``) trains it once.
 
 Result containers and rendering live in :mod:`repro.pipeline.report`
 (re-exported here for compatibility); experiment *structure* lives in
@@ -95,9 +97,10 @@ def get_scale(scale: str | ScaleConfig) -> ScaleConfig:
 # ---------------------------------------------------------------------------
 # parallelism default
 # ---------------------------------------------------------------------------
-# Experiments call benchmark_dataset() deep inside their run() functions, so
-# the CLI's --jobs value travels as a process-wide default instead of a
-# parameter threaded through every experiment signature.
+# Analyses call benchmark_dataset() deep inside their code, so a stage's
+# fan-out (StageContext.jobs) travels as a process-wide default that the
+# pipeline installs for the stage's duration instead of a parameter
+# threaded through every analysis signature.
 _DEFAULT_JOBS: int = 1
 
 
@@ -105,7 +108,7 @@ def set_default_jobs(jobs: int | None) -> int:
     """Set the simulation fan-out used by :func:`benchmark_dataset`.
 
     ``None``/``0`` resolves to all cores. Returns the previous value so
-    callers can restore it (see :func:`repro.experiments.run_experiment`).
+    callers can restore it (see :func:`repro.pipeline.executors.run_stage`).
     """
     from repro.runtime import resolve_jobs
 

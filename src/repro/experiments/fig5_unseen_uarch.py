@@ -75,9 +75,9 @@ SPEC = ExperimentSpec(
     title="Prediction error on unseen microarchitectures",
     description="Fig. 5 — generality to unseen microarchitectures",
     stages=(
-        stage("train_data", "dataset", benchmarks="updated-train"),
+        stage("updated_train_data", "dataset", benchmarks="updated-train"),
         stage("foundation", "train", benchmarks="updated-train",
-              needs=("train_data",)),
+              needs=("updated_train_data",)),
         stage("tuning_data", "dataset", benchmarks=list(TUNING_BENCHMARKS),
               configs="unseen", count=DEFAULT_N_UNSEEN),
         stage("eval_data", "dataset", benchmarks="all",
@@ -90,17 +90,3 @@ SPEC = ExperimentSpec(
               needs=("analyze",)),
     ),
 )
-
-
-def run(scale: str = "bench", n_unseen: int = DEFAULT_N_UNSEEN):
-    """Back-compat shim: one pipeline run, returning the ExperimentResult."""
-    from repro.pipeline import run_spec
-
-    spec = SPEC
-    if n_unseen != DEFAULT_N_UNSEEN:
-        spec = SPEC.override({
-            "tuning_data.count": n_unseen,
-            "eval_data.count": n_unseen,
-            "analyze.n_unseen": n_unseen,
-        })
-    return run_spec(spec, scale=scale).result

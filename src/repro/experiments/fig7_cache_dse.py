@@ -156,9 +156,9 @@ SPEC = ExperimentSpec(
     title="L1D x L2 cache-size DSE (objective rank per program)",
     description="Fig. 7 + Sec. VI-A — cache-size DSE",
     stages=(
-        stage("train_data", "dataset", benchmarks="updated-train"),
+        stage("updated_train_data", "dataset", benchmarks="updated-train"),
         stage("foundation", "train", benchmarks="updated-train",
-              needs=("train_data",)),
+              needs=("updated_train_data",)),
         stage("analyze", "analysis", fn="fig7_cache_dse",
               tuning_benchmarks=list(DSE_TUNING_BENCHMARKS),
               tuning_configs=DSE_TUNING_CONFIGS,
@@ -168,10 +168,3 @@ SPEC = ExperimentSpec(
               needs=("analyze",)),
     ),
 )
-
-
-def run(scale: str = "bench"):
-    """Back-compat shim: one pipeline run, returning the ExperimentResult."""
-    from repro.pipeline import run_spec
-
-    return run_spec(SPEC, scale=scale).result

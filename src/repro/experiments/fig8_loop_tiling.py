@@ -97,19 +97,12 @@ SPEC = ExperimentSpec(
     title=f"MM loop tiling ({MATRIX_N}x{MATRIX_N}) on Cortex-A7-like",
     description="Fig. 8 — matrix-multiply loop tiling",
     stages=(
-        stage("train_data", "dataset", benchmarks="updated-train"),
+        stage("updated_train_data", "dataset", benchmarks="updated-train"),
         stage("foundation", "train", benchmarks="updated-train",
-              needs=("train_data",)),
+              needs=("updated_train_data",)),
         stage("analyze", "analysis", fn="fig8_loop_tiling",
               matrix_n=MATRIX_N, tiles=list(TILES),
               needs=("foundation",)),
         stage("report", "report", needs=("analyze",)),
     ),
 )
-
-
-def run(scale: str = "bench"):
-    """Back-compat shim: one pipeline run, returning the ExperimentResult."""
-    from repro.pipeline import run_spec
-
-    return run_spec(SPEC, scale=scale).result

@@ -119,10 +119,3 @@ SPEC = ExperimentSpec(
               needs=("analyze",)),
     ),
 )
-
-
-def run(scale: str = "bench"):
-    """Back-compat shim: one pipeline run, returning the ExperimentResult."""
-    from repro.pipeline import run_spec
-
-    return run_spec(SPEC, scale=scale).result

@@ -101,7 +101,9 @@ SPEC = ExperimentSpec(
     description="Table III — approach comparison + measured speeds",
     stages=(
         stage("xz_data", "dataset", benchmarks=["557.xz"]),
-        stage("foundation", "train", benchmarks="train"),
+        stage("train_data", "dataset", benchmarks="train"),
+        stage("foundation", "train", benchmarks="train",
+              needs=("train_data",)),
         stage("analyze", "analysis", fn="table3_comparison",
               needs=("xz_data", "foundation")),
         stage("report", "report",
@@ -110,10 +112,3 @@ SPEC = ExperimentSpec(
               needs=("analyze",)),
     ),
 )
-
-
-def run(scale: str = "bench"):
-    """Back-compat shim: one pipeline run, returning the ExperimentResult."""
-    from repro.pipeline import run_spec
-
-    return run_spec(SPEC, scale=scale).result

@@ -149,9 +149,9 @@ SPEC = ExperimentSpec(
     title="DSE method comparison: overhead vs design quality",
     description="Table IV — DSE method overhead/quality",
     stages=(
-        stage("train_data", "dataset", benchmarks="updated-train"),
+        stage("updated_train_data", "dataset", benchmarks="updated-train"),
         stage("foundation", "train", benchmarks="updated-train",
-              needs=("train_data",)),
+              needs=("updated_train_data",)),
         stage("analyze", "analysis", fn="table4_dse_methods",
               needs=("foundation",)),
         stage("report", "report",
@@ -159,10 +159,3 @@ SPEC = ExperimentSpec(
               needs=("analyze",)),
     ),
 )
-
-
-def run(scale: str = "bench"):
-    """Back-compat shim: one pipeline run, returning the ExperimentResult."""
-    from repro.pipeline import run_spec
-
-    return run_spec(SPEC, scale=scale).result

@@ -186,7 +186,8 @@ def _load_npz(path: str, *keys: str) -> tuple[np.ndarray, ...] | None:
             return tuple(data[key] for key in keys)
     except FileNotFoundError:
         return None  # never written, or a concurrent builder removed it
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+    except (OSError, ValueError, KeyError, EOFError,
+            zipfile.BadZipFile) as exc:  # EOFError: an empty file
         log.warning("corrupt dataset cache entry %s (%s): recomputing", path, exc)
         return None
 

@@ -107,13 +107,14 @@ def encoded_features(
     if cache_dir:
         path = _cache_path(cache_dir, benchmark, max_instructions, seed, isa)
         if os.path.exists(path):
-            # a torn write or bit rot must not take prediction down:
+            # a torn write, an empty file (np.load raises EOFError) or
+            # bit rot must not take prediction down:
             # count + log the corruption, fall through, and recompute
             # (the rewrite below repairs the cache entry)
             try:
                 with np.load(path) as data:
                     features = data["features"]
-            except (OSError, ValueError, KeyError,
+            except (OSError, ValueError, KeyError, EOFError,
                     zipfile.BadZipFile) as exc:
                 _count("corrupt")
                 log.warning(

@@ -11,8 +11,10 @@ per-stage artifacts: a re-run only executes stages whose inputs changed.
 >>> custom = load_spec("examples/pipeline_spec.toml")      # user spec
 >>> run_spec(custom, scale="smoke").result.render()
 
-``repro pipeline run/sweep/list`` and
-:meth:`repro.api.Session.run_pipeline` are the CLI/facade front ends.
+``repro pipeline run/sweep/list``, ``repro run``/``run-all`` and
+:meth:`repro.api.Session.run_pipeline` are the CLI/facade front ends;
+all of them execute through :func:`run_union`, which runs the union
+plan of any number of specs (shared stages once).
 """
 
 from repro.pipeline.executors import (
@@ -35,6 +37,7 @@ from repro.pipeline.runner import (
     SweepResult,
     run_spec,
     run_sweep,
+    run_union,
 )
 from repro.pipeline.spec import (
     ExperimentSpec,
@@ -94,6 +97,7 @@ __all__ = [
     "render_table",
     "run_spec",
     "run_sweep",
+    "run_union",
     "spec_from_dict",
     "stage",
 ]

@@ -1,15 +1,14 @@
 """Pluggable stage-execution backends: local pool and distributed queue.
 
-The :class:`~repro.pipeline.runner.Runner` no longer executes stages
-itself — it builds an :class:`ExecutionPlan` (the deduplicated union DAG
-of one or many specs, every stage's content key precomputed) and hands
-it to an :class:`ExecutorBackend`:
+The runner never executes stages itself: it builds an
+:class:`ExecutionPlan` (the deduplicated union DAG of one or many
+specs, every stage's content key precomputed) and hands it to an
+:class:`ExecutorBackend`:
 
 ``local``
-    The in-process backend: wave scheduling over the plan with
-    :class:`repro.runtime.ParallelMap` fan-out, exactly the semantics
-    the runner always had (cached stages skipped, a failed stage raises
-    after its wave-mates persist).
+    Dependency-driven execution on this host: a task starts as soon as
+    its upstreams are done, in-process or in a pool of ``jobs`` worker
+    processes.  A failed task blocks only its dependents.
 
 ``queue``
     The distributed backend: a coordinator enqueues ready stages into
@@ -20,18 +19,23 @@ it to an :class:`ExecutorBackend`:
     root, or both.  Scheduling is work-stealing by construction: every
     ready stage of every sweep point sits in one queue, so an idle
     worker takes whatever is ready regardless of which point it belongs
-    to, and stale leases (dead workers) are re-issued.
+    to, and stale leases (dead workers) are re-issued.  The coordinator
+    stops at the first failure.
 
-Because stage keys are content addresses, two scenarios that share a
-stage collapse to **one** task in the plan, and two workers racing on
-one key resolve by first atomic publish — the queue needs no global
-lock to be exactly-once in effect.
+Both backends run a stage through :func:`run_stage`.  Because stage
+keys are content addresses, two scenarios that share a stage collapse
+to **one** task in the plan, and two workers racing on one key resolve
+by first atomic publish — the queue needs no global lock to be
+exactly-once in effect.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
+import traceback
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol
 
@@ -102,7 +106,7 @@ class ExecutionReport:
     """Everything a backend hands back to the runner."""
 
     results: dict = field(default_factory=dict)  # key -> TaskResult
-    failure: tuple | None = None  # (spec_name, stage_name, detail)
+    failures: dict = field(default_factory=dict)  # key -> traceback
     stats: dict | None = None  # backend telemetry (queue backend)
 
 
@@ -188,7 +192,7 @@ class ExecutorBackend(Protocol):
     name: str
 
     def execute(self, plan: ExecutionPlan) -> ExecutionReport:
-        """Run every task; report payloads, provenance, first failure."""
+        """Run every task; report payloads, provenance and failures."""
         ...  # pragma: no cover - protocol
 
 
@@ -205,22 +209,31 @@ def _serve_cached(plan: ExecutionPlan, report: ExecutionReport) -> None:
             plan.notify(task, result)
 
 
-def _stage_job(item) -> tuple:
-    """Top-level (picklable) pool entry point for one local stage.
+def run_stage(stage: StageSpec, ctx, inputs: dict,
+              **span) -> tuple[dict, float, float]:
+    """Execute one stage; returns ``(payload, seconds, cpu_seconds)``.
 
-    Returns ``(payload, seconds, cpu_seconds)`` so the backend records
-    per-stage wall/CPU timing even when stages fan out across pool
-    processes (the parent's clock can't see a child's CPU time).
+    The one stage-running path of both backends (a local pool worker, the
+    local process, a queue worker).  ``ctx.jobs`` is installed as this
+    process's simulation fan-out for the stage's duration, so a stage in
+    a pool worker simulates serially however the process was forked.
+    Wall and CPU seconds are measured here because the parent's clock
+    cannot see a child's CPU time; ``span`` adds ``stage.run`` span
+    attributes (``parent=`` joins a propagated trace).
     """
-    stage, ctx, inputs = item
     import repro.pipeline.presets  # noqa: F401 — registers preset analyses
 
+    from repro.experiments.common import set_default_jobs
     from repro.pipeline.stages import STAGE_KINDS
 
+    previous = set_default_jobs(ctx.jobs)
     start = time.perf_counter()
     cpu_start = time.process_time()
-    with obs.span("stage.run", stage=stage.name, kind=stage.kind):
-        payload = STAGE_KINDS[stage.kind].run(ctx, stage, inputs)
+    try:
+        with obs.span("stage.run", stage=stage.name, kind=stage.kind, **span):
+            payload = STAGE_KINDS[stage.kind].run(ctx, stage, inputs)
+    finally:
+        set_default_jobs(previous)
     return (
         payload,
         time.perf_counter() - start,
@@ -228,11 +241,29 @@ def _stage_job(item) -> tuple:
     )
 
 
+def _run_stage_captured(stage: StageSpec, ctx, inputs: dict) -> tuple:
+    """:func:`run_stage` returning ``(outcome, None)`` or ``(None,
+    traceback)``: a failure travels back from a pool worker as the
+    worker's own traceback text, never as an exception object that might
+    not unpickle (which would break the pool for every running task)."""
+    try:
+        return run_stage(stage, ctx, inputs), None
+    except Exception:
+        return None, traceback.format_exc()
+
+
 # ---------------------------------------------------------------------------
-# local backend: in-process waves over ParallelMap
+# local backend: dependency-driven, in-process or a process pool
 # ---------------------------------------------------------------------------
 class LocalBackend:
-    """Wave-scheduled execution in this process (the historical path)."""
+    """Run each task on this host as soon as its upstreams are done.
+
+    At ``jobs=1`` tasks run in-process in plan order.  Otherwise ready
+    tasks go to a pool of ``jobs`` worker processes at stage fan-out 1,
+    except a task that is the only one ready while nothing else runs: it
+    executes in-process with the full fan-out.  A failed task blocks only
+    its dependents; everything else still runs and persists.
+    """
 
     name = "local"
 
@@ -246,17 +277,62 @@ class LocalBackend:
         report = ExecutionReport()
         _serve_cached(plan, report)
         pending = [t for t in plan.tasks if t.key not in report.results]
-        while pending:
-            wave = [
-                t for t in pending
-                if all(k in report.results for k in t.upstream.values())
-            ]
-            assert wave, "spec validation guarantees progress"
-            self._execute_wave(plan, wave, report)
-            if report.failure is not None:
-                return report
-            pending = [t for t in pending if t.key not in report.results]
-        return report
+        if plan.progress is not NULL_PROGRESS and not plan.progress.total:
+            plan.progress.total = len(pending)
+        running: dict = {}  # future -> task
+        pool = None
+        try:
+            while True:
+                ready = [
+                    t for t in pending
+                    if all(k in report.results for k in t.upstream.values())
+                ]
+                if not ready and not running:
+                    # done, or every pending task waits on a failed one
+                    return report
+                if ready and (plan.jobs == 1
+                              or (len(ready) == 1 and not running)):
+                    task = ready[0]
+                    pending.remove(task)
+                    self._record(plan, task, report, *_run_stage_captured(
+                        task.stage, self._context(plan, task, plan.jobs),
+                        self._inputs(task, report),
+                    ))
+                    continue
+                if pool is None:
+                    # the default start method, as in ParallelMap: forked
+                    # workers see analyses registered at run time (a
+                    # script's or a test's), which spawned ones would not.
+                    # Forked pools start every worker up front: no more
+                    # than there are tasks left.
+                    pool = ProcessPoolExecutor(
+                        max_workers=min(plan.jobs, len(pending)))
+                for task in ready[: plan.jobs - len(running)]:
+                    pending.remove(task)
+                    future = pool.submit(
+                        _run_stage_captured, task.stage,
+                        self._context(plan, task, 1), self._inputs(task, report),
+                    )
+                    running[future] = task
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    task = running.pop(future)
+                    try:
+                        outcome, detail = future.result()
+                    except BrokenProcessPool:
+                        # a killed worker breaks the pool and every task
+                        # on it; later tasks get a fresh pool
+                        detail = traceback.format_exc()
+                        for lost in (task, *running.values()):
+                            self._record(plan, lost, report, None, detail)
+                        running.clear()
+                        pool.shutdown(wait=False)
+                        pool = None
+                        break
+                    self._record(plan, task, report, outcome, detail)
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
 
     def _context(self, plan: ExecutionPlan, task: StageTask, jobs: int):
         from repro.pipeline.stages import StageContext
@@ -267,58 +343,30 @@ class LocalBackend:
             jobs=jobs,
         )
 
-    def _execute_wave(self, plan: ExecutionPlan, wave: list,
-                      report: ExecutionReport) -> None:
-        from repro.runtime import ParallelMap
-        from repro.runtime.pool import JobResult
+    @staticmethod
+    def _inputs(task: StageTask, report: ExecutionReport) -> dict:
+        return {n: report.results[k].payload for n, k in task.upstream.items()}
 
-        parallel = plan.jobs > 1 and len(wave) > 1
-        inner_jobs = 1 if parallel else plan.jobs
-        items = [
-            (
-                task.stage,
-                self._context(plan, task, inner_jobs),
-                {n: report.results[k].payload
-                 for n, k in task.upstream.items()},
-            )
-            for task in wave
-        ]
-        start = time.perf_counter()
-        if parallel:
-            pool = ParallelMap(jobs=min(plan.jobs, len(wave)), chunksize=1,
-                               progress=plan.progress)
-            results = pool.map(
-                _stage_job, items, return_errors=True,
-                labels=[t.stage.name for t in wave],
-            )
-        else:
-            results = []
-            for item in items:
-                try:
-                    results.append(JobResult(index=0, value=_stage_job(item)))
-                except Exception:
-                    import traceback
-
-                    results.append(JobResult(index=0,
-                                             error=traceback.format_exc()))
-        elapsed = time.perf_counter() - start
-        for task, res in zip(wave, results):
-            if res.error is not None:
-                if report.failure is None:
-                    report.failure = (task.spec_name, task.stage.name,
-                                      res.error)
-                continue
-            payload, seconds, cpu_seconds = res.value
-            if not seconds:
-                seconds = elapsed / max(len(wave), 1)
-            plan.store.put(
-                task.key, task.stage.name, task.stage.kind, task.spec_name,
-                payload, seconds=seconds, cpu_seconds=cpu_seconds,
-            )
-            result = TaskResult(key=task.key, payload=payload,
-                                cached=False, seconds=seconds)
-            report.results[task.key] = result
-            plan.notify(task, result)
+    @staticmethod
+    def _record(plan: ExecutionPlan, task: StageTask,
+                report: ExecutionReport, outcome: tuple | None,
+                detail: str | None) -> None:
+        """Persist a finished task's payload, or record its failure."""
+        label = f"{task.spec_name}:{task.stage.name}"
+        if detail is not None:
+            report.failures[task.key] = detail
+            plan.progress.task_done(label, ok=False)
+            return
+        payload, seconds, cpu_seconds = outcome
+        plan.store.put(
+            task.key, task.stage.name, task.stage.kind, task.spec_name,
+            payload, seconds=seconds, cpu_seconds=cpu_seconds,
+        )
+        result = TaskResult(key=task.key, payload=payload, cached=False,
+                            seconds=seconds)
+        report.results[task.key] = result
+        plan.notify(task, result)
+        plan.progress.task_done(label)
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +522,8 @@ class QueueBackend:
                     progressed = True
                 failure = queue.first_failure()
                 if failure is not None:
-                    report.failure = (failure.get("spec", "?"),
-                                      failure.get("stage", "?"),
-                                      failure.get("error", ""))
+                    report.failures[failure.get("key", "?")] = failure.get(
+                        "error", "")
                     return report
                 reclaimed += queue.reap_stale()
                 self._respawn_dead(queue)

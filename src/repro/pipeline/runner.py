@@ -1,19 +1,19 @@
-"""The pipeline runner: plan a spec's stage DAG, hand it to a backend.
+"""The pipeline runner: plan specs' stage DAGs, hand them to a backend.
 
-The runner itself no longer executes stages.  It builds an
-:class:`~repro.pipeline.executors.ExecutionPlan` — the deduplicated
-union DAG with every stage's content key precomputed — checks the
-:class:`~repro.pipeline.artifacts.StageArtifactStore` for hits, and
-delegates the rest to an :class:`~repro.pipeline.executors.ExecutorBackend`:
-``local`` (in-process waves over :class:`repro.runtime.ParallelMap`, the
-historical behavior) or ``queue`` (the distributed work-stealing queue,
-see :mod:`repro.pipeline.queue`).
+Every way of running specs goes through :func:`run_union`: it builds
+one :class:`~repro.pipeline.executors.ExecutionPlan` — the union DAG of
+the given specs, shared stages deduplicated by content key — and hands
+it to an :class:`~repro.pipeline.executors.ExecutorBackend`: ``local``
+(this host, in-process or a process pool) or ``queue`` (the distributed
+work-stealing queue, see :mod:`repro.pipeline.queue`).  :class:`Runner`
+runs one spec, :func:`run_sweep` every scenario of a grid, and ``repro
+run-all`` every preset.
 
-A failed stage raises :class:`StageFailure` *after* every other
-completed stage persisted its artifact, so a re-run resumes from the
-failure point instead of from scratch.  Sweeps executed on the queue
-backend submit the union DAG of every expanded scenario at once, so
-idle workers steal ready stages from any sweep point.
+A failed stage blocks only the stages that depend on it; everything
+else still runs and persists its artifact, so a re-run resumes from the
+failure point instead of from scratch.  :class:`Runner` and
+:func:`run_sweep` then raise :class:`StageFailure`; ``run-all`` reports
+each failed experiment and keeps the rest.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from repro.pipeline.artifacts import StageArtifactStore
 from repro.pipeline.executors import (
     ExecutionReport,
-    StageTask,
-    TaskResult,
     build_plan,
     make_backend,
     render_executor_stats,
@@ -133,15 +131,18 @@ class PipelineResult:
 
 @dataclass
 class SweepResult:
-    """Every point of a finished sweep, plus executor telemetry.
+    """Every spec of one union-plan run, plus executor telemetry.
 
-    Behaves like the list of per-point :class:`PipelineResult` it wraps
-    (iteration, indexing, ``len``), and renders a compact per-point
-    summary table instead of one stage listing per scenario.
+    ``points`` holds the :class:`PipelineResult` of each spec whose
+    stages all completed, ``failures`` one :class:`StageFailure` per spec
+    that did not.  Behaves like the list of points (iteration, indexing,
+    ``len``), and renders a compact per-point summary table instead of
+    one stage listing per scenario.
     """
 
     points: list = field(default_factory=list)  # [PipelineResult]
     stats: dict | None = None
+    failures: list = field(default_factory=list)  # [StageFailure]
 
     def __iter__(self):
         return iter(self.points)
@@ -192,29 +193,24 @@ class SweepResult:
 
 @contextlib.contextmanager
 def execution_env(cache_dir: str | None, jobs: int | None):
-    """Export ``cache_dir``/``jobs`` process-wide for one run's duration.
+    """Export ``cache_dir`` process-wide for one run's duration.
 
     ``cache_dir`` travels as ``REPRO_CACHE_DIR`` so worker processes and
-    the common-helper stores resolve the same root; ``jobs`` installs
-    the simulation fan-out default.  Both are restored on exit.  Yields
-    the resolved job count.
+    the common-helper stores resolve the same root; it is restored on
+    exit.  Yields the resolved job count (``None`` inherits the
+    process-wide simulation fan-out).
     """
     import os
 
     from repro.cache import CACHE_DIR_ENV, set_cache_root
-    from repro.experiments.common import get_default_jobs, set_default_jobs
+    from repro.experiments.common import get_default_jobs
     from repro.runtime import resolve_jobs
 
     previous_root = os.environ.get(CACHE_DIR_ENV)
     set_cache_root(cache_dir)
-    previous_jobs = None
-    if jobs is not None:
-        previous_jobs = set_default_jobs(jobs)
     try:
         yield resolve_jobs(jobs) if jobs is not None else get_default_jobs()
     finally:
-        if previous_jobs is not None:
-            set_default_jobs(previous_jobs)
         if cache_dir:
             if previous_root is None:
                 os.environ.pop(CACHE_DIR_ENV, None)
@@ -227,18 +223,18 @@ def assemble_result(
     scale_name: str,
     keys: dict[str, str],
     report: ExecutionReport,
-    save: bool = False,
-    results_dir: str | None = None,
+    saved: dict | None = None,
     seen_executed: set | None = None,
-    stats: dict | None = None,
 ) -> PipelineResult:
     """One spec's :class:`PipelineResult` out of an execution report.
 
-    ``seen_executed`` threads through a sweep's scenarios so a stage
-    shared by several points is attributed *executed* exactly once (the
-    first point, in expansion order) and *cached* everywhere else.
+    ``saved`` maps report-stage keys to the result files written for
+    them.  ``seen_executed`` threads through a run's specs so a stage
+    shared by several of them is attributed *executed* exactly once (the
+    first spec, in plan order) and *cached* everywhere else.
     """
     seen = seen_executed if seen_executed is not None else set()
+    saved = saved or {}
     outcomes = []
     for stage in spec.stages:
         key = keys[stage.name]
@@ -250,25 +246,92 @@ def assemble_result(
             name=stage.name, kind=stage.kind, key=key, cached=cached,
             seconds=0.0 if cached else res.seconds, payload=res.payload,
         ))
-    result = PipelineResult(spec_name=spec.name, scale=scale_name,
-                            outcomes=outcomes, stats=stats)
-    if save:
-        for outcome in result.outcomes:
-            if outcome.kind == "report":
-                saved = ExperimentResult.from_payload(outcome.payload)
-                result.saved.append(saved.save(results_dir))
-    return result
+    return PipelineResult(
+        spec_name=spec.name, scale=scale_name, outcomes=outcomes,
+        saved=[saved[o.key] for o in outcomes if o.key in saved],
+    )
+
+
+def run_union(
+    specs,
+    scale=None,
+    jobs: int | None = None,
+    cache_dir: str | None = None,
+    results_dir: str | None = None,
+    save: bool = False,
+    force: bool = False,
+    force_stages: tuple[str, ...] = (),
+    store: StageArtifactStore | None = None,
+    progress=None,
+    backend="local",
+    workers: int = 0,
+    backend_options: dict | None = None,
+) -> SweepResult:
+    """Run the union plan of ``specs`` (objects or registered names).
+
+    A stage several specs share (same content key) executes once.  With
+    ``save`` each report is written to the results dir the moment its
+    stage lands, so a run that fails later keeps what it finished.  A
+    failed stage blocks only its dependents on the local backend; the
+    result holds a point for every spec that completed and a
+    :class:`StageFailure` for every spec that did not.
+
+    ``scale`` overrides every spec's own scale; ``jobs=None`` inherits
+    the process-wide simulation fan-out; ``cache_dir`` is exported as
+    ``REPRO_CACHE_DIR`` for the run so every store a stage opens — in
+    this process or a worker — resolves the same root.
+    """
+    from repro.experiments.common import get_scale
+    from repro.pipeline.presets import get_spec
+
+    specs = [get_spec(s) if isinstance(s, str) else s for s in specs]
+    saved: dict[str, str] = {}
+
+    def on_outcome(task, result) -> None:
+        if save and task.stage.kind == "report":
+            report_result = ExperimentResult.from_payload(result.payload)
+            saved[task.key] = report_result.save(results_dir)
+
+    with execution_env(cache_dir, jobs) as resolved_jobs:
+        plan = build_plan(
+            specs, scale=scale, store=store or StageArtifactStore(),
+            jobs=resolved_jobs, cache_dir=cache_dir, results_dir=results_dir,
+            force=force, force_stages=force_stages, progress=progress,
+            on_outcome=on_outcome,
+        )
+        backend_obj = make_backend(backend, workers=workers,
+                                   **(backend_options or {}))
+        report = backend_obj.execute(plan)
+    batch = SweepResult(stats=report.stats)
+    seen: set[str] = set()
+    for spec, keys in plan.index:
+        missing = [st.name for st in spec.stages
+                   if keys[st.name] not in report.results]
+        if not missing:
+            scale_name = get_scale(scale or spec.scale or "bench").name
+            batch.points.append(assemble_result(
+                spec, scale_name, keys, report, saved=saved,
+                seen_executed=seen,
+            ))
+            continue
+        # name the stage that failed; dependents of it were never run
+        failed = next((n for n in missing if keys[n] in report.failures),
+                      missing[0])
+        detail = report.failures.get(
+            keys[failed], "not run: the backend stopped at another failure")
+        batch.failures.append(StageFailure(spec.name, failed, detail))
+    return batch
 
 
 class Runner:
     """Execute one :class:`ExperimentSpec` with per-stage artifact reuse.
 
-    ``jobs=None`` inherits the process-wide simulation fan-out (like the
-    legacy ``run_experiment``); an explicit value installs it for the
-    duration of the run.  ``cache_dir`` is exported process-wide (like
-    the CLI's ``--cache-dir``) so every store a stage opens — in this
-    process or a worker — resolves the same root.  ``force`` re-executes
-    every stage; ``force_stages`` re-executes just the named ones.
+    ``jobs=None`` inherits the process-wide simulation fan-out; an
+    explicit value is the run's worker count and each stage's fan-out.
+    ``cache_dir`` is exported process-wide (like the CLI's
+    ``--cache-dir``) so every store a stage opens — in this process or a
+    worker — resolves the same root.  ``force`` re-executes every stage;
+    ``force_stages`` re-executes just the named ones.
 
     ``backend`` picks the executor: ``"local"`` (default), ``"queue"``
     (``workers`` spawned queue workers plus any external ``repro
@@ -305,50 +368,25 @@ class Runner:
         self.force_stages = tuple(force_stages)
         for name in self.force_stages:
             spec.stage(name)  # fail fast with suggestions
-        self._store = store
+        self.store = store
         self.progress = progress
         self.backend = backend
         self.workers = workers
         self.backend_options = dict(backend_options or {})
 
-    @property
-    def store(self) -> StageArtifactStore:
-        if self._store is None:
-            self._store = StageArtifactStore()
-        return self._store
-
     def run(self) -> PipelineResult:
-        with execution_env(self.cache_dir, self.jobs) as resolved_jobs:
-            return self._run(resolved_jobs)
-
-    def _run(self, resolved_jobs: int) -> PipelineResult:
-        plan = build_plan(
-            [self.spec], scale=self.scale, store=self.store,
-            jobs=resolved_jobs, cache_dir=self.cache_dir,
-            results_dir=self.results_dir, force=self.force,
-            force_stages=self.force_stages,
-            progress=self.progress, on_outcome=self._on_outcome,
+        batch = run_union(
+            [self.spec], scale=self.scale, jobs=self.jobs,
+            cache_dir=self.cache_dir, results_dir=self.results_dir,
+            save=self.save, force=self.force, force_stages=self.force_stages,
+            store=self.store, progress=self.progress, backend=self.backend,
+            workers=self.workers, backend_options=self.backend_options,
         )
-        backend = make_backend(self.backend, workers=self.workers,
-                               **self.backend_options)
-        report = backend.execute(plan)
-        if report.failure is not None:
-            raise StageFailure(*report.failure)
-        spec, keys = plan.index[0]
-        return assemble_result(
-            spec, self.scale.name, keys, report,
-            save=self.save, results_dir=self.results_dir,
-            stats=report.stats,
-        )
-
-    def _on_outcome(self, task: StageTask, result: TaskResult) -> None:
-        if self.progress is not None and hasattr(self.progress, "stream"):
-            outcome = StageOutcome(
-                name=task.stage.name, kind=task.stage.kind, key=task.key,
-                cached=result.cached, seconds=result.seconds,
-                payload=result.payload,
-            )
-            self.progress.stream.write(f"{outcome.row()}\n")
+        if batch.failures:
+            raise batch.failures[0]
+        result = batch.points[0]
+        result.stats = batch.stats
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -391,54 +429,20 @@ def run_sweep(
     backend_options: dict | None = None,
     progress=None,
 ) -> SweepResult:
-    """Run every scenario of a sweep grid, in expansion order.
+    """Run every scenario of a sweep grid as one union plan.
 
     Scenarios share stage artifacts wherever their grid point leaves a
-    stage's parameters (and upstream) untouched, so a sweep's cost is
-    proportional to what actually varies.
-
-    On the ``local`` backend, scenarios run sequentially in-process.
-    Any other backend receives the **union DAG** of every expanded
-    scenario in one submission — with the queue backend that means idle
-    workers steal ready stages from any sweep point (work-stealing
-    across the whole grid), and a stage shared by several points
-    executes once.
+    stage's parameters (and upstream) untouched, so a stage shared by
+    several points executes once and a sweep's cost is proportional to
+    what actually varies.  With the queue backend, idle workers steal
+    ready stages from any sweep point.  Raises :class:`StageFailure` if
+    any scenario failed.
     """
-    scenarios = sweep.expand()
-    if backend == "local":
-        points = [
-            Runner(
-                scenario, scale=scale, jobs=jobs, cache_dir=cache_dir,
-                results_dir=results_dir, save=save, force=force,
-                progress=progress,
-            ).run()
-            for scenario in scenarios
-        ]
-        return SweepResult(points=points)
-    with execution_env(cache_dir, jobs) as resolved_jobs:
-        store = StageArtifactStore()
-        plan = build_plan(
-            scenarios, scale=scale, store=store, jobs=resolved_jobs,
-            cache_dir=cache_dir, results_dir=results_dir, force=force,
-            progress=progress,
-        )
-        backend_obj = make_backend(backend, workers=workers,
-                                   **(backend_options or {}))
-        report = backend_obj.execute(plan)
-        if report.failure is not None:
-            raise StageFailure(*report.failure)
-        seen: set[str] = set()
-        points = []
-        for spec, keys in plan.index:
-            points.append(assemble_result(
-                spec, plan_scale_name(spec, scale), keys, report,
-                save=save, results_dir=results_dir, seen_executed=seen,
-            ))
-        return SweepResult(points=points, stats=report.stats)
-
-
-def plan_scale_name(spec: ExperimentSpec, scale) -> str:
-    """The scale name a spec resolves to under an optional override."""
-    from repro.experiments.common import get_scale
-
-    return get_scale(scale or spec.scale or "bench").name
+    result = run_union(
+        sweep.expand(), scale=scale, jobs=jobs, cache_dir=cache_dir,
+        results_dir=results_dir, save=save, force=force, progress=progress,
+        backend=backend, workers=workers, backend_options=backend_options,
+    )
+    if result.failures:
+        raise result.failures[0]
+    return result

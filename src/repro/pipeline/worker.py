@@ -103,23 +103,20 @@ class WorkerStats:
 
 
 def execute_task(
-    task: dict, store: StageArtifactStore
+    task: dict, store: StageArtifactStore, **span
 ) -> tuple[dict, float, float]:
-    """Run one task's stage; returns ``(payload, seconds, cpu_seconds)``.
-
-    ``seconds`` is wall time, ``cpu_seconds`` this process's CPU time
-    over the same window — both are persisted on the stage record so
-    sweeps can tell "slow because busy" from "slow because waiting".
+    """Rebuild one task's stage and run it through
+    :func:`~repro.pipeline.executors.run_stage`; returns ``(payload,
+    seconds, cpu_seconds)``.
 
     Upstream payloads are resolved from the artifact store by key — the
     coordinator only enqueues a task once every upstream key has been
     published, so a miss here means the shared store was tampered with.
     """
-    import repro.pipeline.presets  # noqa: F401 — registers preset analyses
-
     from repro.experiments.common import ScaleConfig, get_scale
+    from repro.pipeline.executors import run_stage
     from repro.pipeline.spec import StageSpec
-    from repro.pipeline.stages import STAGE_KINDS, StageContext
+    from repro.pipeline.stages import StageContext
 
     fragment = task["stage"]
     stage = StageSpec(
@@ -145,14 +142,7 @@ def execute_task(
                 f"({name!r}), which is not in the store at {store.root}"
             )
         inputs[name] = record["payload"]
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    payload = STAGE_KINDS[stage.kind].run(ctx, stage, inputs)
-    return (
-        payload,
-        time.perf_counter() - start,
-        time.process_time() - cpu_start,
-    )
+    return run_stage(stage, ctx, inputs, **span)
 
 
 def _heartbeat_loop(queue: WorkQueue, claim: Claim,
@@ -184,12 +174,10 @@ def run_claim(queue: WorkQueue, store: StageArtifactStore, claim: Claim,
     heartbeat.start()
     try:
         stage = task["stage"]
-        with obs.span(
-            "stage.run", parent=ctx, stage=stage["name"],
-            kind=stage["kind"], key=claim.key, worker=worker_id,
+        payload, seconds, cpu_seconds = execute_task(
+            task, store, parent=ctx, key=claim.key, worker=worker_id,
             stolen=claim.stolen,
-        ):
-            payload, seconds, cpu_seconds = execute_task(task, store)
+        )
         store.put(
             claim.key, stage["name"], stage["kind"], task.get("spec", "?"),
             payload, seconds=seconds, cpu_seconds=cpu_seconds,

@@ -1,10 +1,10 @@
-"""Parallel execution layer for simulation fan-out and experiment runs.
+"""Parallel execution layer for simulation fan-out.
 
-Everything expensive in this reproduction is embarrassingly parallel: one
-trace is timed on every sampled microarchitecture (Sec. IV-B
-"representation reuse"), and the experiments of Figs. 3-8 are independent
-once the shared dataset cache is warm.  This package provides the process
-pool that exploits that:
+The most expensive fan-out in this reproduction is embarrassingly
+parallel: one trace is timed on every sampled microarchitecture (Sec.
+IV-B "representation reuse").  This package provides the process pool
+that exploits it (pipeline stages fan out through the executor backends
+of :mod:`repro.pipeline.executors` instead):
 
 * :mod:`~repro.runtime.pool` — :class:`ParallelMap`, a chunked
   ``ProcessPoolExecutor`` wrapper with a serial fallback, deterministic
@@ -15,20 +15,12 @@ pool that exploits that:
 The ``--jobs N`` CLI flag (default: all cores) threads through here.
 """
 
-from repro.runtime.pool import (
-    JobError,
-    JobResult,
-    ParallelMap,
-    parallel_map,
-    resolve_jobs,
-)
+from repro.runtime.pool import JobError, ParallelMap, resolve_jobs
 from repro.runtime.progress import NULL_PROGRESS, ProgressReporter
 
 __all__ = [
     "JobError",
-    "JobResult",
     "ParallelMap",
-    "parallel_map",
     "resolve_jobs",
     "ProgressReporter",
     "NULL_PROGRESS",

@@ -1,18 +1,18 @@
 """Chunked process-pool map with a serial fallback.
 
-:class:`ParallelMap` is the single execution primitive used by dataset
-construction (:mod:`repro.features.dataset`) and the experiment runner
-(:mod:`repro.experiments.registry`).  Design constraints:
+:class:`ParallelMap` is the execution primitive of dataset construction
+(:mod:`repro.features.dataset`): one trace timed on many
+microarchitectures.  Design constraints:
 
 * **Determinism** — results come back in input order regardless of worker
   scheduling, so parallel and serial runs are interchangeable.
 * **Serial fallback** — ``jobs=1`` runs in-process with no executor, no
   pickling and no subprocesses; the test suite and single-core boxes pay
   zero overhead.
-* **Worker-side exception capture** — a failing job is returned as a
+* **Worker-side exception capture** — a failing job comes back as a
   :class:`JobResult` carrying the formatted worker traceback instead of
-  poisoning the pool; callers either get a :class:`JobError` (default) or
-  the raw per-job results (``return_errors=True``).
+  poisoning the pool, and the first failure (in input order) raises a
+  :class:`JobError` once every job has finished.
 * **Chunking** — work items are submitted in contiguous chunks so that
   per-task IPC overhead amortizes and workers keep benchmark locality
   (consecutive jobs usually share a trace).
@@ -119,16 +119,12 @@ class ParallelMap:
         self,
         fn: Callable[[Any], Any],
         items: Iterable[Any],
-        return_errors: bool = False,
         labels: Sequence[str] | None = None,
     ) -> list[Any]:
         """Apply ``fn`` to every item; results ordered like ``items``.
 
-        With ``return_errors=False`` (default) the first failed job —
-        first by *input order*, not completion order — raises
-        :class:`JobError` after all work finishes.  With
-        ``return_errors=True`` the full :class:`JobResult` list is
-        returned and the caller triages.
+        The first failed job — first by *input order*, not completion
+        order — raises :class:`JobError` after all work finishes.
         """
         pairs = list(enumerate(items))
         if labels is not None and len(labels) != len(pairs):
@@ -139,8 +135,6 @@ class ParallelMap:
         else:
             results = self._map_parallel(fn, pairs, labels)
 
-        if return_errors:
-            return results
         for res in results:
             if not res.ok:
                 raise JobError(res.index, pairs[res.index][1], res.error)
@@ -189,17 +183,3 @@ class ParallelMap:
         else:
             label = repr(pairs[result.index][1])
         self.progress.task_done(label, ok=result.ok)
-
-
-def parallel_map(
-    fn: Callable[[Any], Any],
-    items: Iterable[Any],
-    jobs: int | None = 1,
-    chunksize: int | None = None,
-    progress: ProgressReporter | None = None,
-    return_errors: bool = False,
-    labels: Sequence[str] | None = None,
-) -> list[Any]:
-    """One-shot convenience wrapper around :class:`ParallelMap`."""
-    pool = ParallelMap(jobs=jobs, chunksize=chunksize, progress=progress)
-    return pool.map(fn, items, return_errors=return_errors, labels=labels)

@@ -3,7 +3,8 @@ reproduces the paper's qualitative shape where the scale permits."""
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, run_experiment
+from repro.pipeline import run_spec
+from repro.pipeline.presets import SPECS
 
 
 @pytest.fixture(scope="module")
@@ -14,11 +15,11 @@ def results():
 
 def _get(results, name):
     if name not in results:
-        results[name] = run_experiment(name, scale="smoke")
+        results[name] = run_spec(name, scale="smoke").result
     return results[name]
 
 
-@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("name", sorted(SPECS))
 def test_experiment_runs_and_renders(results, name):
     result = _get(results, name)
     assert result.experiment == name
@@ -30,7 +31,7 @@ def test_experiment_runs_and_renders(results, name):
 
 def test_unknown_experiment_rejected():
     with pytest.raises(KeyError):
-        run_experiment("fig99_warp_drive")
+        run_spec("fig99_warp_drive")
 
 
 def test_fig3_has_all_17_benchmarks(results):

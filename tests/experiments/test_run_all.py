@@ -1,80 +1,94 @@
-"""Tests for the parallel experiment runner (registry.run_all)."""
+"""Batch execution: `repro run-all` and `run_union` over the preset specs."""
+
+import os
 
 import pytest
 
-from repro.experiments import run_all
-from repro.experiments.registry import EXPERIMENTS, _experiment_job
+from repro.cli import main
+from repro.pipeline import (
+    ExperimentSpec,
+    Runner,
+    StageFailure,
+    analysis,
+    run_union,
+    stage,
+)
+from repro.pipeline.presets import SPECS
+
+
+@analysis("test_run_all_saw_file")
+def _saw_file(ctx, params, inputs):
+    seen = os.path.exists(params["path"])
+    return {"headers": ["path", "existed"], "rows": [[params["path"], seen]],
+            "metrics": {"existed": float(seen)}}
 
 
 def test_run_all_unknown_name_rejected():
     with pytest.raises(KeyError):
-        run_all(names=["fig99_nonexistent"], scale="smoke")
+        run_union(["fig99_nonexistent"], scale="smoke")
 
 
 def test_run_all_serial_subset():
-    outcomes = run_all(names=["sec4b_reuse"], scale="smoke", jobs=1)
-    assert len(outcomes) == 1
-    assert outcomes[0].ok
-    assert outcomes[0].name == "sec4b_reuse"
-    assert outcomes[0].result.experiment == "sec4b_reuse"
+    batch = run_union(["sec4b_reuse"], scale="smoke", jobs=1)
+    assert not batch.failures
+    assert [p.spec_name for p in batch] == ["sec4b_reuse"]
+    assert batch[0].result.experiment == "sec4b_reuse"
 
 
 def test_run_all_parallel_two_experiments():
-    outcomes = run_all(
-        names=["sec4b_reuse", "fig3_seen_unseen"], scale="smoke", jobs=2
-    )
-    assert [o.name for o in outcomes] == ["sec4b_reuse", "fig3_seen_unseen"]
-    assert all(o.ok for o in outcomes)
+    batch = run_union(["sec4b_reuse", "fig3_seen_unseen"], scale="smoke",
+                      jobs=2)
+    assert not batch.failures
+    assert [p.spec_name for p in batch] == ["sec4b_reuse", "fig3_seen_unseen"]
     # results came back across the process boundary fully formed
-    assert all(o.result.rows for o in outcomes)
+    assert all(p.result.rows for p in batch)
 
 
-def test_run_all_captures_failures(monkeypatch):
-    def _explode(scale="bench"):
-        raise RuntimeError("injected failure")
+def test_run_all_captures_failures(monkeypatch, capsys, tmp_path):
+    """One preset's analysis raises: the other eleven still complete and
+    save, run-all exits 1 naming the experiment and stage, and a single
+    run of that spec still raises StageFailure."""
+    from repro.pipeline import ANALYSES
 
-    monkeypatch.setitem(EXPERIMENTS, "sec4b_reuse", _explode)
-    outcomes = run_all(
-        names=["sec4b_reuse", "fig3_seen_unseen"], scale="smoke", jobs=1
-    )
-    assert not outcomes[0].ok
-    assert "injected failure" in outcomes[0].error
-    assert outcomes[1].ok
+    def boom(ctx, params, inputs):
+        raise RuntimeError("injected analysis failure")
 
-
-def test_warm_up_failure_does_not_abort(monkeypatch, capsys):
-    import io
-
-    import repro.features.dataset as dataset_mod
-    from repro.experiments.registry import _warm_dataset_cache
-
-    def _explode(*args, **kwargs):
-        raise RuntimeError("simulator broke")
-
-    monkeypatch.setattr(dataset_mod, "build_dataset", _explode)
-    stream = io.StringIO()
-    _warm_dataset_cache("smoke", jobs=2, stream=stream)  # must not raise
-    assert "warm-up failed" in stream.getvalue()
-    _warm_dataset_cache("smoke", jobs=2, stream=None)  # silent, still no raise
-
-
-def test_experiment_job_is_picklable_entry_point():
-    import pickle
-
-    pickle.dumps(_experiment_job)
-    result = _experiment_job(("sec4b_reuse", "smoke", False))
-    assert result.experiment == "sec4b_reuse"
+    monkeypatch.setitem(ANALYSES, "sec4b_reuse", boom)
+    results = tmp_path / "results"
+    code = main(["run-all", "--scale", "smoke", "--jobs", "2",
+                 "--results-dir", str(results)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "sec4b_reuse FAILED at stage 'analyze'" in out
+    assert "injected analysis failure" in out
+    assert "failed experiments: sec4b_reuse (stage 'analyze')" in out
+    saved = sorted(os.listdir(results))
+    assert saved == sorted(f"{name}_smoke.json" for name in SPECS
+                           if name != "sec4b_reuse")
+    with pytest.raises(StageFailure, match="injected") as excinfo:
+        Runner(SPECS["sec4b_reuse"], scale="smoke", jobs=1).run()
+    assert excinfo.value.stage_name == "analyze"
 
 
 def test_run_all_save_writes_results_incrementally(tmp_path, monkeypatch):
-    import os
-
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_RESULTS_DIR", raising=False)
-    outcomes = run_all(names=["sec4b_reuse"], scale="smoke", jobs=1, save=True)
-    assert outcomes[0].ok
-    # saved by the worker as the experiment finished, not by the caller —
-    # results follow the cache root (satellite: no hardcoded ./results)
-    assert os.path.exists(str(tmp_path / "cache/results/sec4b_reuse_smoke.json"))
+    # results follow the cache root: no hardcoded ./results
+    first_path = tmp_path / "cache" / "results" / "first_smoke.json"
+
+    def spec(name, **params):
+        return ExperimentSpec(name=name, scale="smoke", stages=(
+            stage("analyze", "analysis", fn="test_run_all_saw_file",
+                  path=str(first_path), **params),
+            stage("report", "report", needs=("analyze",)),
+        ))
+
+    # at jobs=1 the plan runs in order: the second spec's analysis runs
+    # after the first spec's report landed, and must see its saved file
+    batch = run_union([spec("first"), spec("second", tag=2)], jobs=1,
+                      save=True)
+    assert not batch.failures
+    assert batch[0].saved == [str(first_path)]
+    assert batch[1].result.metrics["existed"] == 1.0
     assert not os.path.exists("results")

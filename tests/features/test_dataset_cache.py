@@ -132,6 +132,37 @@ def test_corrupt_entries_are_recomputed(tmp_path, caplog):
         )
 
 
+def test_zero_byte_entries_are_recomputed(tmp_path, caplog):
+    """An empty merged entry or shard (np.load raises EOFError) is logged
+    and recomputed, and the rewrite repairs the entry."""
+    from repro.features.dataset import (
+        _benchmark_jobs, _cache_path, _config_digest,
+    )
+
+    cache = str(tmp_path)
+    digest = _config_digest(_configs())
+    build_dataset(BENCHMARKS, _configs(), 400, cache_dir=cache)
+    merged = _cache_path(cache, "505.mcf", 400, None, digest)
+    os.remove(_cache_path(cache, "999.specrand", 400, None, digest))
+    shard = _benchmark_jobs("999.specrand", _configs(), 400, None, cache)[1]
+    os.makedirs(os.path.dirname(shard.shard_path))
+    for path in (merged, shard.shard_path):
+        open(path, "wb").close()
+
+    with caplog.at_level(logging.WARNING, logger="repro.features.dataset"):
+        ds = build_dataset(BENCHMARKS, _configs(), 400, cache_dir=cache)
+    reference = build_dataset(BENCHMARKS, _configs(), 400, cache_dir=None)
+    np.testing.assert_array_equal(ds.features, reference.features)
+    np.testing.assert_array_equal(ds.targets, reference.targets)
+    logged = " ".join(record.getMessage() for record in caplog.records)
+    assert merged in logged and shard.shard_path in logged
+    assert os.path.getsize(merged) > 0
+    with np.load(merged) as data:
+        np.testing.assert_array_equal(
+            data["targets"], reference.segment("505.mcf")[1]
+        )
+
+
 def test_no_cache_dir_never_touches_disk(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     build_dataset(["999.specrand"], _configs(), 300, cache_dir=None, jobs=2)

@@ -98,6 +98,33 @@ def test_feature_cache_corrupt_entry_recomputes(tmp_path, caplog):
         "repro_feature_cache_total", outcome="hit") == before_hit + 1
 
 
+def test_feature_cache_zero_byte_entry_recomputes(tmp_path, caplog):
+    """An empty cache file makes np.load raise EOFError: still a counted,
+    logged corruption that is recomputed and rewritten."""
+    from repro.features.feature_cache import _cache_path, encoded_features
+    from repro.frontends import DEFAULT_FRONTEND
+
+    cache_dir = str(tmp_path / "features")
+    os.makedirs(cache_dir)
+    first = encoded_features(
+        "999.specrand", 200, seed=7, cache_dir=cache_dir)
+    path = _cache_path(cache_dir, "999.specrand", 200, 7, DEFAULT_FRONTEND)
+    open(path, "wb").close()
+    before = _counter_value("repro_feature_cache_total", outcome="corrupt")
+    with caplog.at_level("WARNING", logger="repro.features.feature_cache"):
+        again = encoded_features(
+            "999.specrand", 200, seed=7, cache_dir=cache_dir)
+    assert (again == first).all()
+    assert _counter_value(
+        "repro_feature_cache_total", outcome="corrupt") == before + 1
+    assert any("corrupt feature cache" in r.message for r in caplog.records)
+    assert os.path.getsize(path) > 0
+    before_hit = _counter_value("repro_feature_cache_total", outcome="hit")
+    encoded_features("999.specrand", 200, seed=7, cache_dir=cache_dir)
+    assert _counter_value(
+        "repro_feature_cache_total", outcome="hit") == before_hit + 1
+
+
 def test_queue_lease_reap_counted(tmp_path):
     queue = WorkQueue(str(tmp_path / "queue"), lease_ttl_s=0.01)
     queue.ensure()

@@ -78,16 +78,16 @@ def test_queue_sweep_one_stitched_trace(traced):
 
 
 def test_local_sweep_traces_too(traced):
-    # the local backend runs scenarios sequentially: one pipeline.run
-    # trace per sweep point, each with its stage nested inline
-    run_sweep(_synthetic_sweep(points=2))
+    # the local backend runs the sweep's union plan: one pipeline.run
+    # trace, every point's stage nested inline (jobs=1: in-process)
+    run_sweep(_synthetic_sweep(points=2), jobs=1)
     spans = load_spans()
     run_roots = [r for r in build_tree(spans) if r.name == "pipeline.run"]
-    assert len(run_roots) == 2
-    for root in run_roots:
-        assert root.attrs["backend"] == "local"
-        assert [c.name for c in root.children] == ["stage.run"]
-        assert all(c.pid == root.pid for c in root.children)
+    assert len(run_roots) == 1
+    root = run_roots[0]
+    assert root.attrs["backend"] == "local"
+    assert [c.name for c in root.children] == ["stage.run", "stage.run"]
+    assert all(c.pid == root.pid for c in root.children)
 
 
 def test_sigkill_mid_span_leaves_truncated_trace(traced, tmp_path):

@@ -1,8 +1,10 @@
-"""Executor backends: local/queue parity, work stealing, crash recovery."""
+"""Executor backends: local dispatch and failure isolation, local/queue
+parity, work stealing, crash recovery."""
 
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -10,11 +12,14 @@ import repro.pipeline.dse  # noqa: F401 — registers synthetic_point
 from repro.pipeline import (
     ExperimentSpec,
     QueueBackend,
+    Runner,
     StageFailure,
     SweepSpec,
+    analysis,
     make_backend,
     run_spec,
     run_sweep,
+    run_union,
     stage,
 )
 from repro.pipeline.artifacts import StageArtifactStore
@@ -82,6 +87,141 @@ def test_union_plan_dedupes_shared_stages(tmp_path):
     for task in plan.tasks:
         assert all(k in seen for k in task.upstream.values())
         seen.add(task.key)
+
+
+# ---------------------------------------------------------------------------
+# local backend: dependency-driven dispatch, fan-out, failure isolation
+# ---------------------------------------------------------------------------
+@analysis("test_local_probe")
+def _local_probe(ctx, params, inputs):
+    """Reports the fan-out it ran at; optionally kills its process,
+    sleeps, stamps its start and end times into files, or fails unless a
+    marker file exists."""
+    from repro.experiments.common import get_default_jobs
+
+    start = time.time()
+    if params.get("exit_code"):
+        os._exit(params["exit_code"])  # dies like an OOM-killed worker
+    if params.get("start_file"):
+        with open(params["start_file"], "w") as fh:
+            fh.write(repr(start))
+    time.sleep(float(params.get("sleep_s", 0.0)))
+    if params.get("marker") and not os.path.exists(params["marker"]):
+        raise RuntimeError("probe failure")
+    if params.get("end_file"):
+        with open(params["end_file"], "w") as fh:
+            fh.write(repr(time.time()))
+    jobs = get_default_jobs()
+    return {"headers": ["jobs"], "rows": [[jobs]],
+            "metrics": {"jobs": float(jobs)}}
+
+
+class _TwoArgError(Exception):
+    """Pickles, but cannot be unpickled (``__init__`` needs two args)."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+@analysis("test_local_raise_unpicklable")
+def _raise_unpicklable(ctx, params, inputs):
+    raise _TwoArgError("two-arg", "failure")
+
+
+def _probe(name, needs=(), **params):
+    return stage(name, "analysis", fn="test_local_probe", needs=needs,
+                 **params)
+
+
+def test_pool_stages_run_at_their_own_fan_out(cache):
+    """Stages sharing the pool simulate serially (StageContext.jobs), not
+    at the fan-out the forked worker inherited; a stage that runs alone
+    gets the full fan-out in-process."""
+    spec = ExperimentSpec(name="fan_out", scale="smoke", stages=(
+        _probe("a", tag="a"),
+        _probe("b", tag="b"),
+        _probe("both", needs=("a", "b")),
+    ))
+    result = Runner(spec, jobs=2).run()
+    jobs = {o.name: o.payload["metrics"]["jobs"] for o in result.outcomes}
+    assert jobs == {"a": 1.0, "b": 1.0, "both": 2.0}
+
+
+def test_local_dispatch_has_no_wave_barrier(cache, tmp_path):
+    """A task starts once its own upstreams are done, while an unrelated
+    slow task of the same frontier is still running."""
+    slow_end = tmp_path / "slow.end"
+    child_start = tmp_path / "child.start"
+    spec = ExperimentSpec(name="no_barrier", scale="smoke", stages=(
+        _probe("slow", sleep_s=1.0, end_file=str(slow_end)),
+        _probe("fast"),
+        _probe("child", needs=("fast",), start_file=str(child_start)),
+    ))
+    Runner(spec, jobs=2).run()
+    assert float(child_start.read_text()) < float(slow_end.read_text())
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_stage_blocks_only_its_dependents(cache, tmp_path, jobs):
+    marker = tmp_path / "fixed"
+    broken = ExperimentSpec(name="broken", scale="smoke", stages=(
+        _probe("shared"),
+        _probe("flaky", marker=str(marker)),
+        _probe("after", needs=("shared", "flaky")),
+    ))
+    healthy = ExperimentSpec(name="healthy", scale="smoke", stages=(
+        _probe("shared"),
+        _probe("own", needs=("shared",), tag="own"),
+    ))
+    batch = run_union([broken, healthy], jobs=jobs)
+    assert [p.spec_name for p in batch] == ["healthy"]
+    assert batch[0].executed == 2
+    (failure,) = batch.failures
+    assert (failure.spec_name, failure.stage_name) == ("broken", "flaky")
+    assert "probe failure" in failure.detail
+    with pytest.raises(StageFailure) as excinfo:
+        Runner(broken, jobs=jobs).run()
+    assert excinfo.value.stage_name == "flaky"
+
+    marker.touch()  # the fix: only the failure point onward re-executes
+    retry = run_union([broken, healthy], jobs=jobs)
+    assert not retry.failures
+    assert [o.name for o in retry[0].outcomes if not o.cached] == [
+        "flaky", "after"]
+    assert retry[1].fully_cached
+
+
+def test_pool_failure_returns_the_worker_traceback(cache):
+    """A stage's exception comes back as its worker-side traceback, so an
+    exception that cannot be unpickled fails only its own stage."""
+    spec = ExperimentSpec(name="odd_error", scale="smoke", stages=(
+        stage("odd", "analysis", fn="test_local_raise_unpicklable"),
+        _probe("bystander", sleep_s=0.3),
+    ))
+    batch = run_union([spec], jobs=2)
+    (failure,) = batch.failures
+    assert failure.stage_name == "odd"
+    assert "_TwoArgError: two-arg failure" in failure.detail
+    store = StageArtifactStore()
+    plan = build_plan([spec], store=store)
+    done = {t.stage.name for t in plan.tasks if store.get(t.key)}
+    assert done == {"bystander"}
+
+
+def test_killed_pool_worker_fails_its_tasks_and_the_run_goes_on(cache):
+    spec = ExperimentSpec(name="killer", scale="smoke", stages=(
+        _probe("die", exit_code=3),
+        _probe("bystander", sleep_s=0.5),
+        _probe("later", tag="later"),  # waits for a free pool slot
+    ))
+    batch = run_union([spec], jobs=2)
+    (failure,) = batch.failures
+    assert failure.stage_name == "die"
+    assert "BrokenProcessPool" in failure.detail
+    store = StageArtifactStore()
+    plan = build_plan([spec], store=store)
+    done = {t.stage.name for t in plan.tasks if store.get(t.key)}
+    assert done == {"later"}
 
 
 def test_make_backend_resolves_names_and_instances():

@@ -1,5 +1,5 @@
 """Runner execution semantics: artifact reuse, forcing, failure resume,
-parallel waves, and the Session facade."""
+parallel dispatch, and the Session facade."""
 
 import os
 

@@ -9,7 +9,6 @@ from repro.runtime import (
     JobError,
     ParallelMap,
     ProgressReporter,
-    parallel_map,
     resolve_jobs,
 )
 from repro.runtime.pool import _chunked
@@ -42,35 +41,25 @@ def test_resolve_jobs():
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_map_preserves_input_order(jobs):
     items = list(range(23))
-    assert parallel_map(_square, items, jobs=jobs) == [x * x for x in items]
+    assert ParallelMap(jobs=jobs).map(_square, items) == [x * x for x in items]
 
 
 def test_parallel_runs_in_worker_processes():
-    pids = set(parallel_map(_worker_pid, range(8), jobs=2, chunksize=1))
+    pids = set(ParallelMap(jobs=2, chunksize=1).map(_worker_pid, range(8)))
     assert os.getpid() not in pids or len(pids) > 1
 
 
 def test_serial_stays_in_process():
-    assert parallel_map(_worker_pid, [0], jobs=1) == [os.getpid()]
+    assert ParallelMap(jobs=1).map(_worker_pid, [0]) == [os.getpid()]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_worker_exception_raises_job_error(jobs):
     with pytest.raises(JobError) as excinfo:
-        parallel_map(_fail_on_three, [1, 2, 3, 4], jobs=jobs)
+        ParallelMap(jobs=jobs).map(_fail_on_three, [1, 2, 3, 4])
     assert excinfo.value.index == 2
     assert excinfo.value.item == 3
     assert "boom on 3" in excinfo.value.worker_traceback
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_return_errors_collects_all_outcomes(jobs):
-    results = parallel_map(
-        _fail_on_three, [3, 1, 3, 2], jobs=jobs, return_errors=True
-    )
-    assert [r.ok for r in results] == [False, True, False, True]
-    assert [r.value for r in results if r.ok] == [1, 2]
-    assert all("boom on 3" in r.error for r in results if not r.ok)
 
 
 def test_chunking_covers_all_items_contiguously():
@@ -83,13 +72,13 @@ def test_chunking_covers_all_items_contiguously():
 
 
 def test_empty_and_single_item():
-    assert parallel_map(_square, [], jobs=4) == []
-    assert parallel_map(_square, [5], jobs=4) == [25]
+    assert ParallelMap(jobs=4).map(_square, []) == []
+    assert ParallelMap(jobs=4).map(_square, [5]) == [25]
 
 
 def test_labels_length_validated():
     with pytest.raises(ValueError):
-        parallel_map(_square, [1, 2], jobs=1, labels=["only-one"])
+        ParallelMap(jobs=1).map(_square, [1, 2], labels=["only-one"])
 
 
 def test_progress_reporter_lines():
@@ -108,5 +97,8 @@ def test_progress_reports_failures():
     stream = io.StringIO()
     progress = ProgressReporter(total=2, stream=stream)
     pool = ParallelMap(jobs=1, progress=progress)
-    pool.map(_fail_on_three, [3, 1], return_errors=True)
-    assert "FAILED" in stream.getvalue().splitlines()[0]
+    with pytest.raises(JobError):
+        pool.map(_fail_on_three, [3, 1])
+    lines = stream.getvalue().splitlines()
+    assert "FAILED" in lines[0]
+    assert "FAILED" not in lines[1]  # later jobs still run and report
