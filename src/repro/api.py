@@ -42,7 +42,7 @@ from repro.core.errors import (
     PredictionError,
     UnknownBenchmarkError,
 )
-from repro.experiments.common import ScaleConfig, get_scale
+from repro.experiments.common import ScaleConfig, get_scale, seen_configs
 from repro.features.dataset import (
     DEFAULT_CACHE_DIR,
     TraceDataset,
@@ -59,7 +59,6 @@ from repro.models import (
 )
 from repro.models.registry import get_family
 from repro.models.store import training_provenance
-from repro.uarch import sample_configs
 from repro.uarch.config import MicroarchConfig
 from repro.workloads import TRAIN_BENCHMARKS
 
@@ -92,20 +91,13 @@ class Session:
         # eagerly (unknown names raise with suggestions)
         self.frontend = get_frontend(frontend).name
         self.store = store or ModelStore(model_store_dir(cache_dir))
-        self._configs: list[MicroarchConfig] | None = None
         self._datasets: dict[tuple[str, ...], TraceDataset] = {}
         self._features: dict[str, np.ndarray] = {}
 
     # -- shared ingredients ----------------------------------------------
     def configs(self) -> list[MicroarchConfig]:
         """The scale's sampled training microarchitectures."""
-        if self._configs is None:
-            self._configs = sample_configs(
-                n_ooo=self.scale.n_ooo, n_inorder=self.scale.n_inorder,
-                seed=self.scale.seed,
-                include_presets=self.scale.include_presets,
-            )
-        return self._configs
+        return seen_configs(self.scale)
 
     def dataset(self, benchmarks: tuple[str, ...] | list[str]) -> TraceDataset:
         """Cached (features, per-config targets) over ``benchmarks``."""
@@ -402,21 +394,10 @@ class Session:
         external ``repro pipeline worker`` sharing the cache root).
         Returns a :class:`~repro.pipeline.PipelineResult`.
         """
-        import os
-
-        from repro.pipeline import (
-            ExperimentSpec,
-            Runner,
-            SpecError,
-            get_spec,
-            load_spec,
-        )
+        from repro.pipeline import ExperimentSpec, Runner, SpecError, get_spec
 
         if isinstance(spec, str):
-            if os.path.sep in spec or spec.endswith((".toml", ".json")):
-                spec = load_spec(spec)
-            else:
-                spec = get_spec(spec)
+            spec = get_spec(spec)
         if not isinstance(spec, ExperimentSpec):  # a SweepSpec
             raise SpecError(
                 f"spec {spec.name!r} declares a sweep grid; expand it with "

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.isa.opcodes import OpClass
 from repro.ml.autograd import Tensor, mse_loss
 from repro.ml.layers import MLP
 from repro.ml.optim import Adam

@@ -112,17 +112,6 @@ def _cmd_run_all(args) -> int:
     return 0
 
 
-def _resolve_pipeline_spec(name: str):
-    """A spec argument: a registered name, or a path to a .toml/.json file."""
-    import os
-
-    from repro.pipeline import get_spec, load_spec
-
-    if os.path.sep in name or name.endswith((".toml", ".json")):
-        return load_spec(name)
-    return get_spec(name)
-
-
 def _cmd_pipeline_worker(args) -> int:
     """`repro pipeline worker`: serve the shared queue until stopped."""
     from repro.pipeline.worker import run_worker
@@ -157,6 +146,7 @@ def _cmd_pipeline(args) -> int:
         Runner,
         SweepSpec,
         available_specs,
+        get_spec,
         run_sweep,
     )
 
@@ -180,7 +170,7 @@ def _cmd_pipeline(args) -> int:
     if not args.spec:
         print(f"usage: repro pipeline {args.action} <spec-name-or-file>")
         return 2
-    spec = _resolve_pipeline_spec(args.spec)
+    spec = get_spec(args.spec)
     base = spec.base if isinstance(spec, SweepSpec) else spec
     print(_resolved_header(f"pipeline {args.action} {args.spec}",
                            args.scale or base.scale or "bench", args.jobs))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.foundation import Foundation, make_foundation
+from repro.core.foundation import make_foundation
 from repro.core.perfvec import PerfVec
 from repro.core.predictor import MicroarchTable, TICK_SCALE
 from repro.features.dataset import TraceDataset

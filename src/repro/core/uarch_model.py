@@ -34,11 +34,6 @@ def cache_size_params(config: MicroarchConfig) -> np.ndarray:
     )
 
 
-def full_config_params(config: MicroarchConfig) -> np.ndarray:
-    """The full normalized parameter vector (all sampler knobs)."""
-    return config.to_feature_vector()
-
-
 class UarchModel(Module):
     """MLP: microarchitecture parameters -> d-dim representation."""
 

@@ -7,14 +7,16 @@ Scale presets trade fidelity for runtime:
 * ``paper`` — the documented offline configuration (77 microarchitectures,
   LSTM-2-256); hours on a CPU box.
 
-Simulation results are cached on disk by :mod:`repro.features.dataset`;
-trained foundation models are memoized in-process per (scale, split) *and*
-persisted through :class:`repro.models.store.ModelStore`, so Figs. 3-8
-share models exactly as the paper does ("The updated model is used in the
-following experiments") and repeat invocations — including fresh
-processes — load the stored artifact instead of retraining.  The preset
-specs declare each shared foundation with the same ``train`` stage, so
-the union plan of a batch (``repro run-all``) trains it once.
+Simulation results are cached on disk by :mod:`repro.features.dataset`
+and datasets are memoized in-process here.  Trained models are not: a
+preset declares each foundation as a ``train`` stage, which trains or
+reuses it through :meth:`repro.api.Session.train`, and an analysis loads
+the artifact its upstream train stage names
+(:func:`repro.pipeline.stages.upstream_model`).  Figs. 3-8 therefore
+share models exactly as the paper does ("The updated model is used in
+the following experiments"), the union plan of a batch (``repro
+run-all``) trains each once, and repeat invocations — including fresh
+processes — load the stored artifact instead of retraining.
 
 Result containers and rendering live in :mod:`repro.pipeline.report`
 (re-exported here for compatibility); experiment *structure* lives in
@@ -34,7 +36,6 @@ from repro.core.errors import (
 )
 from repro.core.perfvec import PerfVec
 from repro.features.dataset import TraceDataset, build_dataset
-from repro.ml.trainer import TrainHistory
 from repro.pipeline.report import (  # noqa: F401 — compat re-exports
     ExperimentResult,
     render_surface,
@@ -42,7 +43,6 @@ from repro.pipeline.report import (  # noqa: F401 — compat re-exports
 )
 from repro.uarch import sample_configs
 from repro.uarch.config import MicroarchConfig
-from repro.workloads import TEST_BENCHMARKS, TRAIN_BENCHMARKS
 
 
 @dataclass(frozen=True)
@@ -124,12 +124,10 @@ def get_default_jobs() -> int:
 
 
 # ---------------------------------------------------------------------------
-# shared data / model construction (memoized)
+# shared data construction (memoized)
 # ---------------------------------------------------------------------------
 _CONFIG_CACHE: dict[str, list[MicroarchConfig]] = {}
 _DATASET_CACHE: dict[tuple, TraceDataset] = {}
-#: (model, history, store artifact id) per training identity + store root.
-_MODEL_CACHE: dict[tuple, tuple[PerfVec, TrainHistory, str]] = {}
 
 
 def seen_configs(scale: ScaleConfig) -> list[MicroarchConfig]:
@@ -182,88 +180,6 @@ def benchmark_dataset(
     return ds
 
 
-def trained_model(
-    scale: ScaleConfig,
-    train_benchmarks: tuple[str, ...] = TRAIN_BENCHMARKS,
-    spec: str | None = None,
-    epochs: int | None = None,
-) -> tuple[PerfVec, TrainHistory]:
-    """Train (or fetch) the foundation model for a benchmark split.
-
-    Two cache levels: the in-process memo (so experiments in one run
-    share object identity) and the on-disk :class:`ModelStore` keyed by
-    spec + training provenance + dataset fingerprint (so *repeat
-    invocations in fresh processes* skip retraining entirely).
-    """
-    model, history, _ = _trained_entry(scale, train_benchmarks, spec, epochs)
-    return model, history
-
-
-def trained_artifact(
-    scale: ScaleConfig,
-    train_benchmarks: tuple[str, ...] = TRAIN_BENCHMARKS,
-    spec: str | None = None,
-    epochs: int | None = None,
-) -> str:
-    """Train-or-reuse via the same path as :func:`trained_model`,
-    returning the stored artifact id (what pipeline ``train`` stages
-    record as provenance)."""
-    return _trained_entry(scale, train_benchmarks, spec, epochs)[2]
-
-
-def _trained_entry(
-    scale: ScaleConfig,
-    train_benchmarks: tuple[str, ...],
-    spec: str | None,
-    epochs: int | None,
-) -> tuple[PerfVec, TrainHistory, str]:
-    import os
-
-    from repro.models import ModelStore, PerfVecModel
-    from repro.models.store import training_provenance
-
-    spec = spec or scale.spec
-    epochs = epochs or scale.epochs
-    store = ModelStore()  # resolves REPRO_CACHE_DIR at call time
-    # the memo is per store root: redirecting the cache mid-process must
-    # not serve a model the new root's store has never seen
-    key = (scale.name, tuple(train_benchmarks), spec, epochs,
-           os.path.abspath(store.root))
-    cached = _MODEL_CACHE.get(key)
-    if cached is None:
-        dataset = benchmark_dataset(scale, train_benchmarks)
-        fingerprint = dataset.fingerprint()
-        wrapper = PerfVecModel(
-            arch=spec, chunk_len=scale.chunk_len, batch_size=scale.batch_size,
-            epochs=epochs, seed=scale.seed,
-        )
-        train_config = training_provenance(
-            scale.name, "perfvec", train_benchmarks
-        )
-        artifact = store.find(
-            family="perfvec", dataset_fingerprint=fingerprint,
-            spec=wrapper.spec, train_config=train_config,
-        )
-        if artifact is not None:
-            wrapper = store.load(artifact, expect_fingerprint=fingerprint)
-        else:
-            wrapper.fit(dataset)
-            artifact = store.put(
-                wrapper, dataset_fingerprint=fingerprint,
-                train_config=train_config,
-            )
-        cached = (wrapper.perfvec, wrapper.history or TrainHistory(), artifact)
-        _MODEL_CACHE[key] = cached
-    return cached
-
-
-def clear_caches() -> None:
-    """Drop all in-process experiment caches (tests)."""
-    _CONFIG_CACHE.clear()
-    _DATASET_CACHE.clear()
-    _MODEL_CACHE.clear()
-
-
 # ---------------------------------------------------------------------------
 # evaluation helpers
 # ---------------------------------------------------------------------------
@@ -289,15 +205,3 @@ def total_time_errors(
         pred_total = (prog_rep @ uses.T.astype(np.float64)) / TICK_SCALE
         rows[name] = error_summary(pred_total, true_total)
     return rows
-
-
-def split_label(name: str) -> str:
-    if name in TRAIN_BENCHMARKS:
-        return "seen"
-    if name in TEST_BENCHMARKS:
-        return "unseen"
-    return "extra"
-
-
-# Result container + rendering moved to repro.pipeline.report (the
-# report stage owns them now); re-exported at the top for compatibility.

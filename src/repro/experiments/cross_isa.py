@@ -28,11 +28,13 @@ from __future__ import annotations
 import os
 
 from repro.pipeline import ExperimentSpec, analysis, stage
+from repro.pipeline.stages import upstream_train
 from repro.workloads import TEST_BENCHMARKS
 
-#: Families whose serving inputs let a mini-ASM artifact answer RV
-#: benchmarks (see module docstring).
-TRANSFER_FAMILIES = ("perfvec", "ithemal", "simnet")
+#: The train stages of the families whose serving inputs let a mini-ASM
+#: artifact answer RV benchmarks: perfvec, ithemal and simnet (see the
+#: module docstring).
+TRANSFER_STAGES = ("foundation", "train_ithemal", "train_simnet")
 
 #: Families that structurally cannot transfer across frontends.
 BOUND_FAMILIES = ("actboost", "cross_program", "program_specific")
@@ -90,11 +92,6 @@ def analyze(ctx, params, inputs) -> dict:
     from repro.api import Session
     from repro.frontends import get_frontend
 
-    artifacts = {
-        payload["family"]: payload["artifact"]
-        for payload in inputs.values()
-        if payload and "artifact" in payload and "family" in payload
-    }
     native = Session(
         scale=ctx.scale, cache_dir=ctx.cache_dir, jobs=ctx.jobs
     )
@@ -106,16 +103,11 @@ def analyze(ctx, params, inputs) -> dict:
 
     rows = []
     metrics: dict[str, float] = {}
-    for family in TRANSFER_FAMILIES:
-        artifact = artifacts.get(family)
-        if artifact is None:
-            continue
-        native_errors = native.evaluate(
-            TEST_BENCHMARKS, artifact=artifact, family=family
-        )
-        rv_errors = rv.evaluate(
-            rv_benchmarks, artifact=artifact, family=family
-        )
+    for need in TRANSFER_STAGES:
+        trained = upstream_train(inputs, need)
+        family, artifact = trained["family"], trained["artifact"]
+        native_errors = native.evaluate(TEST_BENCHMARKS, artifact=artifact)
+        rv_errors = rv.evaluate(rv_benchmarks, artifact=artifact)
         native_mean = sum(s.mean for s in native_errors.values()) / len(
             native_errors
         )
@@ -167,8 +159,7 @@ SPEC = ExperimentSpec(
         stage("train_simnet", "train", benchmarks="train",
               family="simnet", needs=("train_data",)),
         stage("analyze", "analysis", fn="cross_isa",
-              needs=("foundation", "train_ithemal", "train_simnet",
-                     "rv_data")),
+              needs=(*TRANSFER_STAGES, "rv_data")),
         stage("report", "report",
               title="Cross-ISA zero-shot generalization (mini-ASM -> RV)",
               needs=("analyze",)),

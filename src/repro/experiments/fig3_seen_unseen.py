@@ -8,21 +8,18 @@ Paper result: average errors below 8% for the nine seen programs; below
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    benchmark_dataset,
-    total_time_errors,
-    trained_model,
-)
+from repro.experiments.common import benchmark_dataset, total_time_errors
 from repro.pipeline import ExperimentSpec, analysis, stage
+from repro.pipeline.stages import upstream_model
 from repro.workloads import ALL_BENCHMARKS, TEST_BENCHMARKS, TRAIN_BENCHMARKS
 
 
 @analysis("fig3_seen_unseen")
 def analyze(ctx, params, inputs) -> dict:
     cfg = ctx.scale
-    model, history = trained_model(cfg, TRAIN_BENCHMARKS)
+    foundation = upstream_model(ctx, inputs, "foundation")
     dataset = benchmark_dataset(cfg, tuple(ALL_BENCHMARKS))
-    errors = total_time_errors(model, dataset, cfg.chunk_len)
+    errors = total_time_errors(foundation.perfvec, dataset, cfg.chunk_len)
 
     ordered = list(TRAIN_BENCHMARKS) + list(TEST_BENCHMARKS)
     rows = []
@@ -42,7 +39,7 @@ def analyze(ctx, params, inputs) -> dict:
         "metrics": {
             "avg_seen_error": sum(seen) / len(seen),
             "avg_unseen_error": sum(unseen) / len(unseen),
-            "best_val_loss": history.best_val_loss,
+            "best_val_loss": foundation.history.best_val_loss,
         },
         "notes": [
             f"worst unseen program: {worst_unseen} "

@@ -8,12 +8,9 @@ all later experiments use.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    benchmark_dataset,
-    total_time_errors,
-    trained_model,
-)
+from repro.experiments.common import benchmark_dataset, total_time_errors
 from repro.pipeline import ExperimentSpec, analysis, stage
+from repro.pipeline.stages import upstream_model
 from repro.workloads import ALL_BENCHMARKS, TEST_BENCHMARKS, TRAIN_BENCHMARKS
 
 #: The Fig. 4 training split: Table II's training set plus 519.lbm.
@@ -26,11 +23,13 @@ UPDATED_TEST: tuple[str, ...] = tuple(
 @analysis("fig4_retrain_lbm")
 def analyze(ctx, params, inputs) -> dict:
     cfg = ctx.scale
-    before_model, _ = trained_model(cfg, TRAIN_BENCHMARKS)
-    after_model, _ = trained_model(cfg, UPDATED_TRAIN)
     dataset = benchmark_dataset(cfg, tuple(ALL_BENCHMARKS))
-    before = total_time_errors(before_model, dataset, cfg.chunk_len)
-    after = total_time_errors(after_model, dataset, cfg.chunk_len)
+    before, after = (
+        total_time_errors(
+            upstream_model(ctx, inputs, need).perfvec, dataset, cfg.chunk_len
+        )
+        for need in ("foundation_before", "foundation_after")
+    )
 
     ordered = list(UPDATED_TRAIN) + list(UPDATED_TEST)
     rows = []

@@ -13,11 +13,11 @@ from repro.core.finetune import learn_unseen_uarch_table
 from repro.experiments.common import (
     benchmark_dataset,
     total_time_errors,
-    trained_model,
     unseen_configs,
 )
 from repro.experiments.fig4_retrain_lbm import UPDATED_TEST, UPDATED_TRAIN
 from repro.pipeline import ExperimentSpec, analysis, stage
+from repro.pipeline.stages import upstream_model
 from repro.workloads import ALL_BENCHMARKS
 
 #: Seen programs used to build the unseen-uarch tuning dataset.
@@ -31,7 +31,7 @@ DEFAULT_N_UNSEEN = 10
 def analyze(ctx, params, inputs) -> dict:
     cfg = ctx.scale
     n_unseen = int(params.get("n_unseen", DEFAULT_N_UNSEEN))
-    model, _ = trained_model(cfg, UPDATED_TRAIN)
+    model = upstream_model(ctx, inputs, "foundation").perfvec
     targets = unseen_configs(cfg, n_unseen)
 
     tuning = benchmark_dataset(cfg, TUNING_BENCHMARKS, configs=targets)

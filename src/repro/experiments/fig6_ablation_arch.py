@@ -9,18 +9,15 @@ LSTMs bring little.
 Widths scale with the experiment preset (the paper's 256 becomes the
 scale's base dimension) so the sweep stays CPU-tractable.  The per-arch
 trainings happen inside the analysis stage (the width grid depends on
-the runtime scale), but every one of them lands in the ModelStore, so a
-partially interrupted sweep resumes from the architectures it finished.
+the runtime scale) through :meth:`repro.api.Session.train`, so every one
+of them lands in the ModelStore and a partially interrupted sweep
+resumes from the architectures it finished.
 """
 
 from __future__ import annotations
 
 from repro.core.foundation import parse_spec
-from repro.experiments.common import (
-    benchmark_dataset,
-    total_time_errors,
-    trained_model,
-)
+from repro.experiments.common import benchmark_dataset, total_time_errors
 from repro.pipeline import ExperimentSpec, analysis, stage
 from repro.workloads import TEST_BENCHMARKS, TRAIN_BENCHMARKS
 
@@ -44,22 +41,26 @@ def sweep_specs(base_dim: int) -> list[str]:
 
 @analysis("fig6_ablation_arch")
 def analyze(ctx, params, inputs) -> dict:
+    from repro.api import Session
+
     cfg = ctx.scale
+    session = Session(scale=cfg, cache_dir=ctx.cache_dir, jobs=ctx.jobs)
     # the sweep trains ~10 models; halve the width to keep it tractable
     base_dim = max(parse_spec(cfg.spec).dim // 2, 8)
     dataset = benchmark_dataset(cfg, tuple(TEST_BENCHMARKS))
     rows = []
     errors_by_spec: dict[str, float] = {}
     for spec in sweep_specs(base_dim):
-        model, history = trained_model(
-            cfg, TRAIN_BENCHMARKS, spec=spec, epochs=cfg.ablation_epochs
-        )
-        errs = total_time_errors(model, dataset, cfg.chunk_len)
+        fitted = session.train(
+            "perfvec", TRAIN_BENCHMARKS, evaluate=False, arch=spec,
+            epochs=cfg.ablation_epochs,
+        ).model
+        errs = total_time_errors(fitted.perfvec, dataset, cfg.chunk_len)
         avg = sum(s.mean for s in errs.values()) / len(errs)
         errors_by_spec[spec] = avg
         rows.append(
-            [spec, model.foundation.num_parameters(), f"{avg:.1%}",
-             f"{history.best_val_loss:.4g}"]
+            [spec, fitted.perfvec.foundation.num_parameters(), f"{avg:.1%}",
+             f"{fitted.history.best_val_loss:.4g}"]
         )
     best = min(errors_by_spec, key=errors_by_spec.get)
     return {

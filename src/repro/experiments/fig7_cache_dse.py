@@ -26,10 +26,9 @@ from repro.experiments.common import (
     ScaleConfig,
     benchmark_dataset,
     render_surface,
-    trained_model,
 )
-from repro.experiments.fig4_retrain_lbm import UPDATED_TRAIN
 from repro.pipeline import ExperimentSpec, analysis, stage
+from repro.pipeline.stages import upstream_model
 from repro.uarch.presets import cortex_a7_like
 from repro.workloads import ALL_BENCHMARKS
 
@@ -93,7 +92,7 @@ def analyze(ctx, params, inputs) -> dict:
         params.get("tuning_benchmarks", DSE_TUNING_BENCHMARKS)
     )
     tuning_configs = int(params.get("tuning_configs", DSE_TUNING_CONFIGS))
-    model, _ = trained_model(cfg, UPDATED_TRAIN)
+    model = upstream_model(ctx, inputs, "foundation").perfvec
     dse = CacheDSE(cortex_a7_like())
     benchmarks = tuple(ALL_BENCHMARKS)
 

@@ -20,10 +20,10 @@ import numpy as np
 
 from repro.core.finetune import learn_unseen_uarch_table
 from repro.core.predictor import TICK_SCALE
-from repro.experiments.common import benchmark_dataset, trained_model
-from repro.experiments.fig4_retrain_lbm import UPDATED_TRAIN
+from repro.experiments.common import benchmark_dataset
 from repro.features import encode_trace
 from repro.pipeline import ExperimentSpec, analysis, stage
+from repro.pipeline.stages import upstream_model
 from repro.sim import simulate
 from repro.uarch.presets import cortex_a7_like
 from repro.vm import run_program
@@ -41,7 +41,7 @@ def analyze(ctx, params, inputs) -> dict:
     matrix_n = int(params.get("matrix_n", MATRIX_N))
     tiles = tuple(int(t) for t in params.get("tiles", TILES))
     a7 = cortex_a7_like()
-    model, _ = trained_model(cfg, UPDATED_TRAIN)
+    model = upstream_model(ctx, inputs, "foundation").perfvec
     budget = max(cfg.dse_instructions, 4000)
 
     # learn the A7's representation once, from seen-program tuning data

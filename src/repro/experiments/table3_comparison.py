@@ -14,11 +14,12 @@ import numpy as np
 
 from repro.baselines.ithemal import IthemalModel, extract_basic_blocks
 from repro.baselines.simnet import SimNetModel, simnet_features
-from repro.experiments.common import benchmark_dataset, trained_model
+from repro.experiments.common import benchmark_dataset
 from repro.pipeline import ExperimentSpec, analysis, stage
+from repro.pipeline.stages import upstream_model
 from repro.sim import simulate
 from repro.uarch.presets import cortex_a7_like
-from repro.workloads import TRAIN_BENCHMARKS, get_trace
+from repro.workloads import get_trace
 
 
 def _time(fn, repeats: int = 3) -> float:
@@ -53,7 +54,7 @@ def analyze(ctx, params, inputs) -> dict:
     simnet_ips = n / t_simnet_full
 
     # --- PerfVec: representation dot product -----------------------------
-    model, _ = trained_model(cfg, TRAIN_BENCHMARKS)
+    model = upstream_model(ctx, inputs, "foundation").perfvec
     ds = benchmark_dataset(cfg, ("557.xz",))
     feats = ds.features
     t_rep = _time(lambda: model.program_representation(feats, cfg.chunk_len))

@@ -29,14 +29,13 @@ from repro.baselines.actboost import AdaBoostR2, stratified_sample
 from repro.baselines.cross_program import CrossProgramPredictor
 from repro.baselines.program_specific import ProgramSpecificMLP
 from repro.core.dse import CacheDSE
-from repro.experiments.common import trained_model
-from repro.experiments.fig4_retrain_lbm import UPDATED_TRAIN
 from repro.experiments.fig7_cache_dse import (
     DSE_TUNING_BENCHMARKS,
     dse_ground_truth,
     perfvec_dse_times,
 )
 from repro.pipeline import ExperimentSpec, analysis, stage
+from repro.pipeline.stages import upstream_model
 from repro.uarch.presets import cortex_a7_like
 from repro.workloads import ALL_BENCHMARKS
 
@@ -120,7 +119,7 @@ def analyze(ctx, params, inputs) -> dict:
     metrics["actboost_sims"] = float(boost_sims)
 
     # ---- PerfVec ----------------------------------------------------------
-    model, _ = trained_model(cfg, UPDATED_TRAIN)
+    model = upstream_model(ctx, inputs, "foundation").perfvec
     start = time.perf_counter()
     preds, overhead = perfvec_dse_times(cfg, model, dse, benchmarks)
     pv_secs = time.perf_counter() - start

@@ -349,23 +349,6 @@ def _build_many(
     return arrays
 
 
-def build_benchmark_arrays(
-    name: str,
-    configs: list[MicroarchConfig],
-    max_instructions: int,
-    seed: int | None = None,
-    cache_dir: str | None = DEFAULT_CACHE_DIR,
-    jobs: int | None = 1,
-    progress: ProgressReporter | None = None,
-    isa: str = DEFAULT_FRONTEND,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(features, targets) for one benchmark, via the on-disk cache."""
-    return _build_many(
-        [name], configs, max_instructions, seed, _resolve_cache_dir(cache_dir),
-        jobs, progress, isa,
-    )[name]
-
-
 def build_dataset(
     benchmarks: list[str],
     configs: list[MicroarchConfig],

@@ -195,12 +195,6 @@ class RvEncodingError(ValueError):
     """An operand does not fit its encoding field."""
 
 
-def _check_range(value: int, lo: int, hi: int, what: str) -> int:
-    if not lo <= value <= hi:
-        raise RvEncodingError(f"{what} {value} out of range [{lo}, {hi}]")
-    return value & ((hi - lo) | (hi | -lo if lo < 0 else hi))
-
-
 def encode(
     spec: RvOpSpec, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0
 ) -> int:

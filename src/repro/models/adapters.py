@@ -182,14 +182,6 @@ class PerfVecModel(PerformanceModel):
             for request in requests
         ]
 
-    def predict_features(self, features: np.ndarray) -> np.ndarray:
-        """Total time (ticks) on every known config from a ``[n, 51]``
-        feature stream — no simulation involved (the serving path)."""
-        self._require_fitted()
-        return self._predict_batch(
-            [PredictRequest(benchmark="<stream>", features=features)]
-        )[0]
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         self._require_fitted()
         return self.perfvec.state_dict()

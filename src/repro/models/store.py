@@ -64,11 +64,9 @@ def training_provenance(
 ) -> dict:
     """The canonical ``train_config`` dict artifacts are keyed by.
 
-    :meth:`repro.api.Session.train` and
-    :func:`repro.experiments.common.trained_model` both build it here, so
-    a model trained by one is found — byte-identically — by the other.
-    ``isa`` (the trace frontend) enters the key only when it is not the
-    default, keeping every pre-frontend artifact findable.
+    :meth:`repro.api.Session.train`, the one train-or-reuse path, builds
+    it here.  ``isa`` (the trace frontend) enters the key only when it is
+    not the default, keeping every pre-frontend artifact findable.
     """
     from repro.frontends import DEFAULT_FRONTEND
 

@@ -57,9 +57,14 @@ from repro.pipeline.stages import (
 
 
 def get_spec(name: str):
-    """A registered preset spec by name (with close-match suggestions)."""
+    """A spec argument: a path to a ``.toml``/``.json`` spec file, or a
+    registered preset name (with close-match suggestions)."""
+    import os
+
     from repro.pipeline.presets import get_spec as _get
 
+    if os.path.sep in name or name.endswith((".toml", ".json")):
+        return load_spec(name)
     return _get(name)
 
 

@@ -8,15 +8,19 @@ and a run function ``(ctx, stage, inputs) -> payload``.
 Stage payloads are **JSON-serializable references, not heavyweight
 objects**: a ``dataset`` stage materializes trace simulations into the
 npz dataset cache and returns the dataset's fingerprint; a ``train``
-stage materializes a model into the :class:`~repro.models.store.ModelStore`
-and returns the artifact id.  Downstream stages re-open those stores —
-which makes every stage restartable, parallelizable across processes and
-resumable from its on-disk artifact alone.
+stage trains or reuses a model through :meth:`repro.api.Session.train`
+(the one train-or-reuse path) and returns its
+:class:`~repro.models.store.ModelStore` artifact id.  Downstream stages
+re-open those stores — an analysis loads its model with
+:func:`upstream_model`, an evaluate or predict stage serves the artifact
+:func:`upstream_train` names — which makes every stage restartable,
+parallelizable across processes and resumable from its on-disk artifact
+alone.
 
 Built-in kinds::
 
     dataset   warm the (benchmarks x configs) simulation cache
-    train     train-or-reuse a model artifact in the ModelStore
+    train     train-or-reuse a model artifact (Session.train)
     evaluate  stored-model error vs simulated ground truth
     predict   batched feature-stream serving through a stored model
     analysis  a registered analysis function (the bespoke figure logic)
@@ -197,16 +201,46 @@ def resolve_configs(ctx: StageContext, stage) -> list:
     )
 
 
-def _model_artifact(stage, inputs: Mapping) -> str:
-    """The model artifact id produced by this stage's upstream train stage."""
-    for need in stage.needs:
-        payload = inputs.get(need) or {}
-        if "artifact" in payload:
-            return payload["artifact"]
-    raise_spec_error(
-        f"stage {stage.name!r} ({stage.kind}) needs an upstream 'train' "
-        "stage providing a model artifact"
-    )
+def upstream_train(inputs: Mapping, need: str | None = None) -> dict:
+    """The payload of upstream ``train`` stage ``need``:
+    ``{"artifact", "family", "isa", "reused"}``.
+
+    ``need=None`` takes the first train stage among ``inputs`` (the model
+    an evaluate or predict stage serves).  A missing or non-train
+    upstream is a :class:`~repro.pipeline.spec.SpecError` naming it.
+    """
+    if need is None:
+        need = next((n for n, p in inputs.items() if _is_train(p)), None)
+        if need is None:
+            raise_spec_error(
+                f"no upstream 'train' stage among needs {sorted(inputs)}; "
+                "list the stage that trains the model"
+            )
+    if need not in inputs:
+        raise_spec_error(
+            f"upstream train stage {need!r} is not among needs "
+            f"{sorted(inputs)}"
+        )
+    if not _is_train(inputs[need]):
+        raise_spec_error(
+            f"upstream stage {need!r} is not a 'train' stage: it names no "
+            "model artifact"
+        )
+    return inputs[need]
+
+
+def _is_train(payload) -> bool:
+    return bool(payload) and {"artifact", "family"} <= payload.keys()
+
+
+def upstream_model(ctx: StageContext, inputs: Mapping, need: str):
+    """The model upstream train stage ``need`` stored, loaded from the
+    run's :class:`~repro.models.store.ModelStore`."""
+    from repro.cache import model_store_dir
+    from repro.models import ModelStore
+
+    artifact = upstream_train(inputs, need)["artifact"]
+    return ModelStore(model_store_dir(ctx.cache_dir)).load(artifact)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +249,18 @@ def _model_artifact(stage, inputs: Mapping) -> str:
 def _stage_isa(stage) -> str | None:
     """The stage's ``isa`` parameter (``None`` means the default frontend)."""
     return stage.params.get("isa")
+
+
+def _session(ctx: StageContext, stage):
+    """A :class:`~repro.api.Session` at the stage's scale, cache root,
+    fan-out and frontend."""
+    from repro.api import Session
+    from repro.frontends import DEFAULT_FRONTEND
+
+    return Session(
+        scale=ctx.scale, cache_dir=ctx.cache_dir, jobs=ctx.jobs,
+        frontend=_stage_isa(stage) or DEFAULT_FRONTEND,
+    )
 
 
 def _run_dataset(ctx: StageContext, stage, inputs) -> dict:
@@ -239,57 +285,44 @@ def _run_dataset(ctx: StageContext, stage, inputs) -> dict:
     return payload
 
 
+#: Train-stage params that configure the model (each must be one of the
+#: family's ``spec_fields``); the others select its data.
+MODEL_PARAMS = ("arch", "epochs")
+
+
 def _run_train(ctx: StageContext, stage, inputs) -> dict:
-    from repro.frontends import DEFAULT_FRONTEND
+    from repro.models.registry import get_family
 
     family = stage.params.get("family", "perfvec")
-    isa = _stage_isa(stage)
-    benchmarks = resolve_benchmarks(stage.params["benchmarks"], isa=isa)
-    if family == "perfvec" and (isa is None or isa == DEFAULT_FRONTEND):
-        from repro.experiments.common import trained_artifact
-
-        artifact = trained_artifact(
-            ctx.scale, benchmarks,
-            spec=stage.params.get("arch"),
-            epochs=stage.params.get("epochs"),
+    overrides = {
+        name: stage.params[name] for name in MODEL_PARAMS
+        if stage.params.get(name) is not None
+    }
+    fields = get_family(family).spec_fields
+    unknown = sorted(set(overrides) - set(fields))
+    if unknown:
+        raise_spec_error(
+            f"stage {stage.name!r} (train): family {family!r} has no "
+            f"parameter(s) {unknown}; its spec fields are {list(fields)}"
         )
-        return {"artifact": artifact, "family": family}
-    # other families (and non-default frontends) ride the Session
-    # train-or-reuse path
-    from repro.api import Session
-
-    session = Session(
-        scale=ctx.scale, cache_dir=ctx.cache_dir, jobs=ctx.jobs,
-        frontend=isa or DEFAULT_FRONTEND,
-    )
-    overrides: dict = {}
-    if family == "perfvec":
-        if stage.params.get("arch") is not None:
-            overrides["arch"] = stage.params["arch"]
-        if stage.params.get("epochs") is not None:
-            overrides["epochs"] = stage.params["epochs"]
+    session = _session(ctx, stage)
     result = session.train(
-        family=family, benchmarks=benchmarks, evaluate=False, **overrides
+        family=family,
+        benchmarks=resolve_benchmarks(
+            stage.params["benchmarks"], isa=_stage_isa(stage)
+        ),
+        evaluate=False, **overrides,
     )
-    payload = {"artifact": result.artifact_id, "family": family,
-               "reused": result.reused}
-    if isa is not None:
-        payload["isa"] = session.frontend
-    return payload
+    return {"artifact": result.artifact_id, "family": family,
+            "isa": session.frontend, "reused": result.reused}
 
 
 def _run_evaluate(ctx: StageContext, stage, inputs) -> dict:
-    from repro.api import Session
-    from repro.frontends import DEFAULT_FRONTEND
-
-    isa = _stage_isa(stage)
-    benchmarks = resolve_benchmarks(stage.params["benchmarks"], isa=isa)
-    artifact = _model_artifact(stage, inputs)
-    session = Session(
-        scale=ctx.scale, cache_dir=ctx.cache_dir, jobs=ctx.jobs,
-        frontend=isa or DEFAULT_FRONTEND,
+    benchmarks = resolve_benchmarks(
+        stage.params["benchmarks"], isa=_stage_isa(stage)
     )
-    errors = session.evaluate(benchmarks, artifact=artifact)
+    artifact = upstream_train(inputs)["artifact"]
+    errors = _session(ctx, stage).evaluate(benchmarks, artifact=artifact)
     rows = [
         [name, f"{s.mean:.1%}", f"{s.std:.1%}", f"{s.min:.1%}", f"{s.max:.1%}"]
         for name, s in errors.items()
@@ -305,17 +338,11 @@ def _run_evaluate(ctx: StageContext, stage, inputs) -> dict:
 
 
 def _run_predict(ctx: StageContext, stage, inputs) -> dict:
-    from repro.api import Session
-    from repro.frontends import DEFAULT_FRONTEND
-
-    isa = _stage_isa(stage)
-    benchmarks = resolve_benchmarks(stage.params["benchmarks"], isa=isa)
-    artifact = _model_artifact(stage, inputs)
-    session = Session(
-        scale=ctx.scale, cache_dir=ctx.cache_dir, jobs=ctx.jobs,
-        frontend=isa or DEFAULT_FRONTEND,
+    benchmarks = resolve_benchmarks(
+        stage.params["benchmarks"], isa=_stage_isa(stage)
     )
-    times = session.predict_many(benchmarks, artifact=artifact)
+    artifact = upstream_train(inputs)["artifact"]
+    times = _session(ctx, stage).predict_many(benchmarks, artifact=artifact)
     rows = [
         [name, len(per_config), float(min(per_config.values())),
          float(max(per_config.values()))]
@@ -385,8 +412,10 @@ register_kind(StageKind(
 ))
 register_kind(StageKind(
     kind="train", run=_run_train,
-    params=frozenset({"benchmarks", "family", "arch", "epochs", "isa"}),
+    params=frozenset({"benchmarks", "family", "isa", *MODEL_PARAMS}),
     required=frozenset({"benchmarks"}),
+    # 2: arch/epochs reach every family; payloads carry isa and reused
+    version=2,
 ))
 register_kind(StageKind(
     kind="evaluate", run=_run_evaluate,

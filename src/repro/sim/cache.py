@@ -103,9 +103,6 @@ class CacheHierarchy:
         line = config.l1d.line_bytes
         self._shift = line.bit_length() - 1
 
-    def line_of(self, addr: int) -> int:
-        return addr >> self._shift
-
     # ------------------------------------------------------------------
     def probe_data(self, addr: int) -> int:
         """Data-side state update: probe/fill caches, return the hit level.

@@ -11,11 +11,9 @@ space exploration (paper Sec. VI-A trains an MLP from such parameters).
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-
-from repro.isa.opcodes import OpClass
 
 
 class CoreKind(str, enum.Enum):
@@ -97,18 +95,6 @@ class CoreConfig:
             raise ValueError("mem_ports must be in [1, 8]")
         if not 1 <= self.mshrs <= 64:
             raise ValueError("mshrs must be in [1, 64]")
-
-    def fu_for(self, opclass: OpClass) -> FUConfig:
-        """Functional-unit pool responsible for ``opclass``."""
-        table = {
-            OpClass.INT_ALU: self.int_alu,
-            OpClass.INT_MUL: self.int_mul,
-            OpClass.INT_DIV: self.int_div,
-            OpClass.FP_ADD: self.fp_add,
-            OpClass.FP_MUL: self.fp_mul,
-            OpClass.FP_DIV: self.fp_div,
-        }
-        return table.get(opclass, self.int_alu)
 
 
 @dataclass(frozen=True)

@@ -58,25 +58,6 @@ def init_int_array(base_reg: str, count_reg: str, mod: int, state: str = "r30") 
     """
 
 
-def init_fp_array(base_reg: str, count_reg: str, scale: float = 1.0,
-                  state: str = "r30") -> str:
-    """Fill ``count_reg`` doubles at ``base_reg`` with values in [0, scale).
-
-    Clobbers r14, r15, f14, f15 and the LCG state.
-    """
-    loop = fresh_label("init_f")
-    return f"""
-    movi r14, 0
-    fmovi f15, {scale / float(1 << 31)!r}
-{loop}:
-    {lcg_step("r15", state)}
-    itof f14, r15
-    fmul f14, f14, f15
-    fst  f14, [{base_reg} + r14*8]
-    addi r14, r14, 1
-    blt  r14, {count_reg}, {loop}
-    """
-
 
 def py_lcg(seed: int, count: int, mod: int | None = None) -> list[int]:
     """Python replica of the ASM LCG stream (same constants, same shifts).

@@ -263,10 +263,3 @@ main:
     halt
 """
     return assemble(text, name=f"cactubssn_n{n}")
-
-
-def wrf_physics(nx: int = 32, ny: int = 32, reps: int = 1, seed: int = 521) -> Program:
-    """Alias kept close to the stencil family; see :func:`repro.workloads.kernels.stencil.wrf`."""
-    from repro.workloads.kernels.stencil import wrf
-
-    return wrf(nx=nx, ny=ny, reps=reps, seed=seed)

@@ -10,7 +10,7 @@ walk with score-based pruning over an explicit stack.
 from __future__ import annotations
 
 from repro.isa import Program, assemble
-from repro.workloads.builders import fresh_label, init_int_array, lcg_step, outer_repeat
+from repro.workloads.builders import fresh_label, init_int_array, outer_repeat
 
 
 def quicksort(n: int = 512, reps: int = 1, seed: int = 99) -> Program:

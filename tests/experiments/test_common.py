@@ -7,16 +7,12 @@ from repro.experiments.common import (
     SCALES,
     ExperimentResult,
     benchmark_dataset,
-    clear_caches,
     get_scale,
     render_surface,
     render_table,
     seen_configs,
-    split_label,
-    trained_model,
     unseen_configs,
 )
-from repro.workloads import TRAIN_BENCHMARKS
 
 
 def test_scales_defined():
@@ -46,22 +42,6 @@ def test_unseen_configs_disjoint_names():
     unseen = unseen_configs(cfg, 5)
     assert len(unseen) == 5
     assert not seen_names & {c.name for c in unseen}
-
-
-def test_trained_model_cached():
-    clear_caches()
-    cfg = get_scale("smoke")
-    m1, h1 = trained_model(cfg, TRAIN_BENCHMARKS[:3])
-    m2, _ = trained_model(cfg, TRAIN_BENCHMARKS[:3])
-    assert m1 is m2
-    m3, _ = trained_model(cfg, TRAIN_BENCHMARKS[:4])
-    assert m3 is not m1
-
-
-def test_split_label():
-    assert split_label("525.x264") == "seen"
-    assert split_label("505.mcf") == "unseen"
-    assert split_label("matmul") == "extra"
 
 
 def test_render_table_alignment():
@@ -100,34 +80,3 @@ def test_benchmark_dataset_cached_in_memory():
     a = benchmark_dataset(cfg, ("999.specrand",))
     b = benchmark_dataset(cfg, ("999.specrand",))
     assert a is b
-
-
-def test_trained_model_reuses_store_across_processes(tmp_path, monkeypatch):
-    """clear_caches() simulates a fresh process: the second call must load
-    the stored artifact instead of retraining."""
-    import repro.models.adapters as adapters
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    calls = {"train": 0}
-    real_train = adapters.train_foundation
-
-    def counting_train(dataset, config):
-        calls["train"] += 1
-        return real_train(dataset, config)
-
-    monkeypatch.setattr(adapters, "train_foundation", counting_train)
-    clear_caches()
-    cfg = get_scale("smoke")
-    m1, h1 = trained_model(cfg, TRAIN_BENCHMARKS[:3])
-    assert calls["train"] == 1
-
-    clear_caches()  # drop every in-process memo, keep the disk store
-    m2, h2 = trained_model(cfg, TRAIN_BENCHMARKS[:3])
-    assert calls["train"] == 1  # loaded, not retrained
-    assert m2 is not m1  # genuinely reconstructed from disk
-    state1, state2 = m1.state_dict(), m2.state_dict()
-    assert set(state1) == set(state2)
-    for key in state1:
-        assert np.array_equal(state1[key], state2[key]), key
-    assert h2.best_val_loss == h1.best_val_loss
-    clear_caches()

@@ -13,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.features.dataset import build_benchmark_arrays, build_dataset
+from repro.features.dataset import build_dataset
 from repro.uarch.presets import cortex_a7_like, skylake_like
 
 BENCHMARKS = ["999.specrand", "505.mcf"]
@@ -170,14 +170,12 @@ def test_no_cache_dir_never_touches_disk(tmp_path, monkeypatch):
 
 
 def test_build_benchmark_arrays_parallel(tmp_path):
-    serial = build_benchmark_arrays(
-        "505.mcf", _configs(), 400, cache_dir=None, jobs=1
+    serial = build_dataset(["505.mcf"], _configs(), 400, cache_dir=None, jobs=1)
+    parallel = build_dataset(
+        ["505.mcf"], _configs(), 400, cache_dir=None, jobs=2
     )
-    parallel = build_benchmark_arrays(
-        "505.mcf", _configs(), 400, cache_dir=None, jobs=2
-    )
-    np.testing.assert_array_equal(serial[0], parallel[0])
-    np.testing.assert_array_equal(serial[1], parallel[1])
+    np.testing.assert_array_equal(serial.features, parallel.features)
+    np.testing.assert_array_equal(serial.targets, parallel.targets)
 
 
 def test_repro_cache_dir_env_sets_default(tmp_path, monkeypatch):
