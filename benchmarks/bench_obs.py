@@ -17,7 +17,7 @@ on the two hot paths the spans actually instrument:
 Results are printed and written to ``BENCH_obs.json``.  Run::
 
     PYTHONPATH=src python benchmarks/bench_obs.py --scale smoke \
-        --output benchmarks/BENCH_obs.json
+        --output BENCH_obs.json
 
 Acceptance bar: predict overhead (enabled vs disabled) under 5%.
 """

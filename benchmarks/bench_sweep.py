@@ -20,7 +20,7 @@ backends and measures sweep throughput:
   self-describing.
 
 Results are printed and written to ``benchmarks/BENCH_sweep.json`` by
-default (the committed copy).  Run directly::
+default (git-ignored; CI uploads its copy as an artifact).  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_sweep.py --points 1008 \
         --workers 1,2

@@ -36,18 +36,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.cache import dataset_cache_dir, model_store_dir
+from repro.cache import model_store_dir
 from repro.core.errors import (
     ErrorSummary,
     PredictionError,
     UnknownBenchmarkError,
 )
-from repro.experiments.common import ScaleConfig, get_scale, seen_configs
-from repro.features.dataset import (
-    DEFAULT_CACHE_DIR,
-    TraceDataset,
-    build_dataset,
+from repro.experiments.common import (
+    ScaleConfig,
+    benchmark_dataset,
+    get_scale,
+    seen_configs,
 )
+from repro.features.dataset import TraceDataset
 from repro.features.feature_cache import encoded_features, feature_cache_dir
 from repro.frontends import DEFAULT_FRONTEND, get_frontend
 from repro.models import (
@@ -59,6 +60,7 @@ from repro.models import (
 )
 from repro.models.registry import get_family
 from repro.models.store import training_provenance
+from repro.runtime import resolve_jobs
 from repro.uarch.config import MicroarchConfig
 from repro.workloads import TRAIN_BENCHMARKS
 
@@ -91,7 +93,6 @@ class Session:
         # eagerly (unknown names raise with suggestions)
         self.frontend = get_frontend(frontend).name
         self.store = store or ModelStore(model_store_dir(cache_dir))
-        self._datasets: dict[tuple[str, ...], TraceDataset] = {}
         self._features: dict[str, np.ndarray] = {}
 
     # -- shared ingredients ----------------------------------------------
@@ -100,21 +101,16 @@ class Session:
         return seen_configs(self.scale)
 
     def dataset(self, benchmarks: tuple[str, ...] | list[str]) -> TraceDataset:
-        """Cached (features, per-config targets) over ``benchmarks``."""
-        key = tuple(benchmarks)
-        ds = self._datasets.get(key)
-        if ds is None:
-            ds = build_dataset(
-                list(benchmarks), self.configs(), self.scale.instructions,
-                cache_dir=(
-                    dataset_cache_dir(self.cache_dir)
-                    if self.cache_dir else DEFAULT_CACHE_DIR
-                ),
-                jobs=self.jobs,
-                isa=self.frontend,
-            )
-            self._datasets[key] = ds
-        return ds
+        """(features, per-config targets) over ``benchmarks``, from the
+        process's one dataset memo
+        (:func:`repro.experiments.common.benchmark_dataset`, keyed by this
+        session's cache root): pipeline stages and sessions in one process
+        share each dataset instead of holding copies."""
+        return benchmark_dataset(
+            self.scale, tuple(benchmarks), configs=self.configs(),
+            isa=self.frontend, root=self.cache_dir,
+            jobs=resolve_jobs(self.jobs),
+        )
 
     def _validate_benchmark(self, benchmark: str) -> None:
         known = get_frontend(self.frontend).benchmarks()

@@ -8,10 +8,13 @@ Scale presets trade fidelity for runtime:
   LSTM-2-256); hours on a CPU box.
 
 Simulation results are cached on disk by :mod:`repro.features.dataset`
-and datasets are memoized in-process here.  Trained models are not: a
-preset declares each foundation as a ``train`` stage, which trains or
-reuses it through :meth:`repro.api.Session.train`, and an analysis loads
-the artifact its upstream train stage names
+and datasets are memoized in-process here, in the process's one dataset
+memo (:func:`benchmark_dataset`, keyed by cache root; pipeline stages,
+analyses and :meth:`repro.api.Session.dataset` share it, so each dataset
+is held once).  Trained models are not: a preset declares each
+foundation as a ``train`` stage, which trains or reuses it through
+:meth:`repro.api.Session.train`, and an analysis loads the artifact its
+upstream train stage names
 (:func:`repro.pipeline.stages.upstream_model`).  Figs. 3-8 therefore
 share models exactly as the paper does ("The updated model is used in
 the following experiments"), the union plan of a batch (``repro
@@ -25,10 +28,12 @@ Result containers and rendering live in :mod:`repro.pipeline.report`
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.cache import dataset_cache_dir
 from repro.core.errors import (
     ErrorSummary,
     UnknownExperimentError,
@@ -157,24 +162,34 @@ def benchmark_dataset(
     configs: list[MicroarchConfig] | None = None,
     instructions: int | None = None,
     isa: str | None = None,
+    root: str | None = None,
+    jobs: int | None = None,
 ) -> TraceDataset:
-    """Cached dataset over ``benchmarks`` x ``configs``.
+    """The dataset over ``benchmarks`` x ``configs``, built once per process.
 
-    ``isa`` selects the trace frontend benchmark names resolve against
-    (default: the mini-ASM VM).
+    The process's one dataset memo: pipeline stages, analyses and
+    :meth:`repro.api.Session.dataset` all read it.  It is keyed by the
+    dataset cache directory under ``root`` (``None``: ``REPRO_CACHE_DIR``
+    or ``.repro_cache/``, resolved now), the scale, benchmarks, configs,
+    trace length and frontend, so a run under another cache root builds
+    (and warms) that root's disk cache instead of reusing this one.
+    ``configs`` defaults to the scale's seen microarchitectures, ``isa``
+    to the mini-ASM VM, and ``jobs`` to the process-wide fan-out
+    (:func:`set_default_jobs`).
     """
     from repro.frontends import DEFAULT_FRONTEND
 
     configs = configs if configs is not None else seen_configs(scale)
     instructions = instructions or scale.instructions
     isa = isa or DEFAULT_FRONTEND
-    key = (scale.name, tuple(benchmarks), tuple(c.name for c in configs),
+    cache_dir = os.path.abspath(dataset_cache_dir(root))
+    key = (cache_dir, scale.name, tuple(benchmarks), tuple(configs),
            instructions, isa)
     ds = _DATASET_CACHE.get(key)
     if ds is None:
         ds = build_dataset(
-            list(benchmarks), configs, instructions,
-            jobs=get_default_jobs(), isa=isa,
+            list(benchmarks), configs, instructions, cache_dir=cache_dir,
+            jobs=get_default_jobs() if jobs is None else jobs, isa=isa,
         )
         _DATASET_CACHE[key] = ds
     return ds

@@ -1,8 +1,9 @@
 """Sec. IV-B — instruction representation reuse speedup.
 
-Measures the per-step training cost of the reuse scheme (one foundation
-pass serving all k microarchitectures) against the naive scheme (one pass
-per microarchitecture).  Paper: reuse cuts one epoch from 26 days to 8
+Measures the per-step training cost (median thread CPU time over nine
+batches, the two schemes alternating) of the reuse scheme (one
+foundation pass serving all k microarchitectures) against the naive
+scheme (one pass per microarchitecture).  Paper: reuse cuts one epoch from 26 days to 8
 hours — near-constant in k instead of linear.
 """
 
@@ -28,7 +29,7 @@ def analyze(ctx, params, inputs) -> dict:
     )
     for k in k_values:
         ds = full.select_configs(range(k))
-        cost = naive_training_step_cost(ds, tc, steps=3)
+        cost = naive_training_step_cost(ds, tc, steps=9)
         rows.append(
             [k, f"{cost['reuse_seconds_per_step'] * 1e3:.1f} ms",
              f"{cost['naive_seconds_per_step'] * 1e3:.1f} ms",

@@ -8,10 +8,17 @@ serves all k target columns.
 
 Simulation dominates every experiment's runtime and the (benchmark x
 config) grid is embarrassingly parallel, so construction fans out through
-:class:`repro.runtime.ParallelMap`: each feature-encoding or single-config
-simulation is a pure top-level job function.  Parallel and serial builds
-are interchangeable — results are assembled in deterministic order, so the
-arrays and the cache files they produce are byte-identical either way.
+:meth:`repro.runtime.ParallelMap.imap`: each feature-encoding or
+single-config simulation is a pure top-level job function, and results
+come back in input order.  Parallel and serial builds are interchangeable:
+the arrays and the cache files they produce are byte-identical either way.
+
+Each dataset is held once.  The final ``features``/``targets`` arrays are
+allocated up front (rows reserved at the trace-length cap) and every
+benchmark's rows are written straight into them, in benchmark order: a
+cache hit loads into its slice, and a miss takes its job outputs from the
+in-order iterator as they land, so a build's peak is the final arrays
+plus one benchmark in flight.
 
 Caching is two-level, both under ``cache_dir``:
 
@@ -41,6 +48,7 @@ import logging
 import os
 import zipfile
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -127,8 +135,8 @@ class TraceDataset:
         what :class:`repro.models.store.ModelStore` records and checks.
         """
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.features).tobytes())
-        h.update(np.ascontiguousarray(self.targets).tobytes())
+        h.update(np.ascontiguousarray(self.features))
+        h.update(np.ascontiguousarray(self.targets))
         h.update(repr(self.segments).encode())
         h.update(repr(self.config_names).encode())
         if self.isa != DEFAULT_FRONTEND:
@@ -265,88 +273,47 @@ def _benchmark_jobs(
     return jobs
 
 
-def _assemble_benchmark(
-    outputs: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge one benchmark's job outputs into (features, targets)."""
-    features = outputs[0]
-    targets = np.empty((len(features), len(outputs) - 1), dtype=np.float32)
-    for j, column in enumerate(outputs[1:]):
-        targets[:, j] = column
-    return features, targets
+def _job_outputs(
+    bench_jobs: list[_SimJob], pooled: set[_SimJob], results: Iterator
+) -> Iterator[np.ndarray]:
+    """One benchmark's job outputs in column order.
+
+    A job in ``pooled`` comes from ``results`` (the pool's in-order
+    iterator); any other resumes from its shard — or, when that shard is
+    absent or unreadable, runs here.
+    """
+    for job in bench_jobs:
+        if job in pooled:
+            yield next(results)
+            continue
+        loaded = _load_npz(job.shard_path, "data") if job.shard_path else None
+        yield loaded[0] if loaded is not None else _run_sim_job(job)
 
 
-def _build_many(
-    benchmarks: list[str],
-    configs: list[MicroarchConfig],
-    max_instructions: int,
-    seed: int | None,
-    cache_dir: str | None,
-    jobs: int | None,
-    progress: ProgressReporter | None,
-    isa: str,
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """(features, targets) per benchmark, fanning cache misses out as jobs."""
-    digest = _config_digest(configs)
-    arrays: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    pending: dict[str, list[_SimJob]] = {}
-    for name in dict.fromkeys(benchmarks):
-        if cache_dir:
-            path = _cache_path(
-                cache_dir, name, max_instructions, seed, digest, isa
-            )
-            loaded = _load_npz(path, "features", "targets")
-            if loaded is not None:
-                arrays[name] = loaded
-                continue
-        pending[name] = _benchmark_jobs(
-            name, configs, max_instructions, seed, cache_dir, isa
-        )
+def _load_rows(
+    path: str, features: np.ndarray, targets: np.ndarray
+) -> int | None:
+    """Load a merged entry into the head rows of ``features``/``targets``;
+    returns its row count, or None when the entry is absent or unreadable."""
+    loaded = _load_npz(path, "features", "targets")
+    if loaded is None:
+        return None
+    rows = len(loaded[0])
+    features[:rows], targets[:rows] = loaded
+    return rows
 
-    if pending:
-        flat = [job for jobs_ in pending.values() for job in jobs_]
-        # Shards from an interrupted earlier build short-circuit their jobs.
-        done: dict[_SimJob, np.ndarray] = {}
-        todo = []
-        for job in flat:
-            if job.shard_path:
-                loaded = _load_npz(job.shard_path, "data")
-                if loaded is not None:
-                    done[job] = loaded[0]
-                    continue
-            todo.append(job)
-        if progress is not None:
-            progress.total = len(todo)  # cache/shard hits are not jobs
-        pool = ParallelMap(jobs=jobs, progress=progress)
-        for job, output in zip(
-            todo, pool.map(_run_sim_job, todo, labels=[j.label for j in todo])
-        ):
-            done[job] = output
-        for name, bench_jobs in pending.items():
-            features, targets = _assemble_benchmark(
-                [done[j] for j in bench_jobs]
-            )
-            if cache_dir:
-                path = _cache_path(
-                    cache_dir, name, max_instructions, seed, digest, isa
-                )
-                _atomic_savez(
-                    path, compress=True, features=features, targets=targets
-                )
-                # Shards only go once the merged entry is durable, so a
-                # crash in between never loses resume state.
-                for job in bench_jobs:
-                    try:
-                        os.remove(job.shard_path)
-                    except OSError:
-                        pass
-            arrays[name] = (features, targets)
-        if cache_dir:
-            try:  # drop the shard dir once every shard has been folded in
-                os.rmdir(os.path.join(cache_dir, "shards"))
-            except OSError:
-                pass
-    return arrays
+
+def _write_rows(
+    outputs: Iterator[np.ndarray], features: np.ndarray, targets: np.ndarray
+) -> int:
+    """Write one benchmark's job outputs into the head rows of
+    ``features``/``targets`` (column by column); returns its row count."""
+    block = next(outputs)
+    rows = len(block)
+    features[:rows] = block
+    for column, block in enumerate(outputs):
+        targets[:rows, column] = block
+    return rows
 
 
 def build_dataset(
@@ -374,23 +341,92 @@ def build_dataset(
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         raise ValueError("config names must be unique")
-    arrays = _build_many(
-        list(benchmarks), configs, max_instructions, seed,
-        _resolve_cache_dir(cache_dir), jobs, progress, isa,
+    cache_dir = _resolve_cache_dir(cache_dir)
+    digest = _config_digest(configs)
+    entries = {
+        name: cache_dir and _cache_path(
+            cache_dir, name, max_instructions, seed, digest, isa
+        )
+        for name in dict.fromkeys(benchmarks)
+    }
+    # Benchmarks without a merged entry run as jobs, except the ones an
+    # interrupted earlier build left a shard for.
+    pending = {
+        name: _benchmark_jobs(
+            name, configs, max_instructions, seed, cache_dir, isa
+        )
+        for name, path in entries.items()
+        if not (path and os.path.exists(path))
+    }
+    todo = [
+        job for bench_jobs in pending.values() for job in bench_jobs
+        if not (job.shard_path and os.path.exists(job.shard_path))
+    ]
+    if progress is not None:
+        progress.total = len(todo)  # cache/shard hits are not jobs
+    results = ParallelMap(jobs=jobs, progress=progress).imap(
+        _run_sim_job, todo, labels=[job.label for job in todo]
     )
-    feature_blocks = []
-    target_blocks = []
+    pooled = set(todo)
+
+    # Rows are reserved at the trace-length cap; pages a shorter trace
+    # leaves unwritten are never touched.
+    features = np.empty(
+        (len(benchmarks) * max_instructions, NUM_FEATURES), dtype=np.float32
+    )
+    targets = np.empty((len(features), len(configs)), dtype=np.float32)
+    spans: dict[str, tuple[int, int]] = {}
     segments = []
     cursor = 0
+    computed = False
     for name in benchmarks:
-        features, targets = arrays[name]
-        feature_blocks.append(features)
-        target_blocks.append(targets)
-        segments.append((name, cursor, cursor + len(features)))
-        cursor += len(features)
+        if name in spans:  # a repeated name repeats its rows
+            start, end = spans[name]
+            rows = end - start
+            features[cursor:cursor + rows] = features[start:end]
+            targets[cursor:cursor + rows] = targets[start:end]
+        else:
+            path = entries[name]
+            rows = None if name in pending else _load_rows(
+                path, features[cursor:], targets[cursor:]
+            )
+            if rows is None:
+                # a merged entry that vanished or is unreadable is
+                # recomputed here, resuming from any shards it left
+                bench_jobs = pending.get(name) or _benchmark_jobs(
+                    name, configs, max_instructions, seed, cache_dir, isa
+                )
+                rows = _write_rows(
+                    _job_outputs(bench_jobs, pooled, results),
+                    features[cursor:], targets[cursor:],
+                )
+                computed = True
+                if cache_dir:
+                    _atomic_savez(
+                        path, compress=True,
+                        features=features[cursor:cursor + rows],
+                        targets=targets[cursor:cursor + rows],
+                    )
+                    # Shards only go once the merged entry is durable, so
+                    # a crash in between never loses resume state.
+                    for job in bench_jobs:
+                        try:
+                            os.remove(job.shard_path)
+                        except OSError:
+                            pass
+            spans[name] = (cursor, cursor + rows)
+        segments.append((name, cursor, cursor + rows))
+        cursor += rows
+    if cache_dir and computed:
+        try:  # drop the shard dir once every shard has been folded in
+            os.rmdir(os.path.join(cache_dir, "shards"))
+        except OSError:
+            pass
+    if cursor < len(features):  # some trace ended before the cap
+        features, targets = features[:cursor].copy(), targets[:cursor].copy()
     return TraceDataset(
-        features=np.concatenate(feature_blocks, axis=0),
-        targets=np.concatenate(target_blocks, axis=0),
+        features=features,
+        targets=targets,
         segments=tuple(segments),
         config_names=tuple(names),
         isa=isa,

@@ -7,7 +7,15 @@ layer zoo the paper's architecture ablation sweeps (Linear, MLP, LSTM, GRU,
 biLSTM, Transformer encoder), Adam with step decay, sequence data loaders
 and a best-on-validation training loop.  Gradients are verified against
 finite differences in the test suite.
+
+Importing the package pins the process's malloc thresholds
+(:mod:`~repro.ml.allocator`) so training steps reuse heap pages instead
+of faulting fresh mappings in every step.
 """
+
+from repro.ml.allocator import pin_malloc_thresholds
+
+pin_malloc_thresholds()
 
 from repro.ml.activations import stable_sigmoid
 from repro.ml.autograd import Tensor, concat, no_grad, stack

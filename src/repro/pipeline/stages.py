@@ -272,7 +272,7 @@ def _run_dataset(ctx: StageContext, stage, inputs) -> dict:
     instructions = stage.params.get("instructions")
     ds = benchmark_dataset(
         ctx.scale, benchmarks, configs=configs, instructions=instructions,
-        isa=isa,
+        isa=isa, root=ctx.cache_dir,
     )
     payload = {
         "benchmarks": list(benchmarks),

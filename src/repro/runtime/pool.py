@@ -6,13 +6,17 @@ microarchitectures.  Design constraints:
 
 * **Determinism** — results come back in input order regardless of worker
   scheduling, so parallel and serial runs are interchangeable.
+  :meth:`ParallelMap.imap` yields each result as soon as it and every
+  earlier one are done (:meth:`~ParallelMap.map` collects them), so a
+  consumer can use and drop results while later jobs still run.
 * **Serial fallback** — ``jobs=1`` runs in-process with no executor, no
   pickling and no subprocesses; the test suite and single-core boxes pay
   zero overhead.
 * **Worker-side exception capture** — a failing job comes back as a
   :class:`JobResult` carrying the formatted worker traceback instead of
   poisoning the pool, and the first failure (in input order) raises a
-  :class:`JobError` once every job has finished.
+  :class:`JobError` once every job has finished; ``imap`` has yielded
+  every result before it by then.
 * **Chunking** — work items are submitted in contiguous chunks so that
   per-task IPC overhead amortizes and workers keep benchmark locality
   (consecutive jobs usually share a trace).
@@ -27,7 +31,7 @@ import os
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.runtime.progress import NULL_PROGRESS, ProgressReporter
 
@@ -126,51 +130,77 @@ class ParallelMap:
         The first failed job — first by *input order*, not completion
         order — raises :class:`JobError` after all work finishes.
         """
+        return list(self.imap(fn, items, labels))
+
+    def imap(
+        self,
+        fn: Callable[[Any], Any],
+        items: Iterable[Any],
+        labels: Sequence[str] | None = None,
+    ) -> Iterator[Any]:
+        """Like :meth:`map`, but yield each result as soon as it and every
+        result before it are done, so the caller can consume (and drop)
+        results while later jobs still run.
+
+        Nothing runs until the first result is requested.  Results after
+        the first failed job are not yielded: the remaining jobs run to
+        completion (a job's side effects, such as a resumable shard, still
+        land) and then :class:`JobError` is raised.
+        """
         pairs = list(enumerate(items))
         if labels is not None and len(labels) != len(pairs):
             raise ValueError("labels must match items length")
-
         if self.jobs == 1 or len(pairs) <= 1:
-            results = self._map_serial(fn, pairs, labels)
+            results = self._results_serial(fn, pairs, labels)
         else:
-            results = self._map_parallel(fn, pairs, labels)
-
+            results = self._results_parallel(fn, pairs, labels)
+        failed = None
         for res in results:
-            if not res.ok:
-                raise JobError(res.index, pairs[res.index][1], res.error)
-        return [res.value for res in results]
+            if failed is None and not res.ok:
+                failed = res
+            elif failed is None:
+                yield res.value
+        if failed is not None:
+            raise JobError(failed.index, pairs[failed.index][1], failed.error)
 
-    def _map_serial(
+    def _results_serial(
         self,
         fn: Callable[[Any], Any],
         pairs: list[tuple[int, Any]],
         labels: Sequence[str] | None,
-    ) -> list[JobResult]:
-        results = []
+    ) -> Iterator[JobResult]:
         for index, item in pairs:
             (result,) = _run_chunk(fn, [(index, item)])
-            results.append(result)
             self._report(result, pairs, labels)
-        return results
+            yield result
 
-    def _map_parallel(
+    def _results_parallel(
         self,
         fn: Callable[[Any], Any],
         pairs: list[tuple[int, Any]],
         labels: Sequence[str] | None,
-    ) -> list[JobResult]:
-        results: list[JobResult | None] = [None] * len(pairs)
+    ) -> Iterator[JobResult]:
+        """Results in input order; ones that finish early wait in a buffer
+        until every earlier one has been handed out."""
+        ready: dict[int, JobResult] = {}
+        next_index = 0
         chunks = _chunked(pairs, self.jobs, self.chunksize)
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
             pending = {pool.submit(_run_chunk, fn, chunk) for chunk in chunks}
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    for result in future.result():
-                        results[result.index] = result
-                        self._report(result, pairs, labels)
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
+            try:
+                while pending:
+                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        for result in future.result():
+                            ready[result.index] = result
+                            self._report(result, pairs, labels)
+                    while next_index in ready:
+                        yield ready.pop(next_index)
+                        next_index += 1
+            finally:  # an abandoned iterator stops the queued chunks
+                for future in pending:
+                    future.cancel()
+        assert next_index == len(pairs)
 
     def _report(
         self,

@@ -244,6 +244,35 @@ def test_short_imported_trace_serves_under_a_larger_budget(
     assert out.shape == (1,) and float(out[0]) > 0
 
 
+def test_dataset_rows_follow_a_trace_shorter_than_the_cap(
+    tmp_path, sample_trace, monkeypatch
+):
+    """Rows are sized by the trace, not the instruction cap; a repeated
+    name repeats its rows; a warm build reads the same arrays back."""
+    from repro.features.dataset import build_dataset
+    from repro.uarch.presets import skylake_like
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "root"))
+    path = str(tmp_path / "t.jsonl")
+    export_trace(sample_trace.head(40), path)
+    import_trace(path, name="short_ext")
+
+    def build():
+        return build_dataset(
+            ["short_ext", "short_ext"], [skylake_like()],
+            max_instructions=100, cache_dir=str(tmp_path / "ds"),
+            isa="imported",
+        )
+
+    cold, warm = build(), build()
+    assert cold.segments == (("short_ext", 0, 40), ("short_ext", 40, 80))
+    assert cold.features.shape == (80, 51)
+    np.testing.assert_array_equal(cold.features[:40], cold.features[40:])
+    np.testing.assert_array_equal(cold.targets[:40], cold.targets[40:])
+    np.testing.assert_array_equal(warm.features, cold.features)
+    np.testing.assert_array_equal(warm.targets, cold.targets)
+
+
 def test_load_unknown_imported_trace_suggests(tmp_path, sample_trace):
     path = str(tmp_path / "t.jsonl")
     export_trace(sample_trace, path)

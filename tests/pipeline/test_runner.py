@@ -267,3 +267,37 @@ def test_unknown_scale_suggests():
 
     with pytest.raises(UnknownExperimentError, match="did you mean 'smoke'"):
         get_scale("smok")
+
+
+def test_dataset_memo_is_keyed_by_cache_root(tmp_path, monkeypatch):
+    """A dataset stage under a second cache root warms that root: the
+    in-process memo does not answer for another root, and a train stage
+    added under the second root then simulates nothing."""
+    from repro.sim import CPUSimulator
+
+    data = stage("data", "dataset", benchmarks=["999.specrand"])
+    only_data = ExperimentSpec(name="memo_roots", scale="smoke", stages=(data,))
+    roots = [str(tmp_path / "A"), str(tmp_path / "B")]
+    for root in roots:
+        assert Runner(only_data, cache_dir=root, jobs=1).run().executed == 1
+    for root in roots:
+        entries = [name for name in os.listdir(os.path.join(root, "datasets"))
+                   if name.endswith(".npz")]
+        assert len(entries) == 1, root
+
+    runs = []
+    original = CPUSimulator.run
+
+    def counted(self, trace, *args, **kwargs):
+        runs.append(self.config.name)
+        return original(self, trace, *args, **kwargs)
+
+    monkeypatch.setattr(CPUSimulator, "run", counted)
+    with_train = ExperimentSpec(
+        name="memo_roots", scale="smoke",
+        stages=(data, stage("model", "train", benchmarks=["999.specrand"],
+                            needs=("data",))),
+    )
+    result = Runner(with_train, cache_dir=roots[1], jobs=1).run()
+    assert result.executed == 1  # the train stage; the dataset stage is cached
+    assert runs == []
