@@ -19,15 +19,15 @@ Measures the serving paths against the same stored model:
   ops, so the gap is what recording the graph costs;
 * **load** — the serving cluster under sustained **open-loop**
   traffic: for each worker count in ``--workers`` (``0`` is the
-  in-process server ``repro serve`` runs), with one-entry caches so
-  every request misses the answer memo and reloads its feature stream
-  (an engine pass per distinct benchmark in a batch), arrivals are issued
-  on a fixed schedule (independent of completions, so queueing delay is
-  charged to the request — no coordinated omission) and the section
-  reports p50/p95/p99 latency plus achieved throughput per worker
-  count.  The offered rate deliberately exceeds single-worker capacity,
-  so achieved throughput ≈ capacity and the worker-scaling ratio is
-  visible directly.
+  in-process server ``repro serve`` runs), with a one-entry answer memo
+  so every request misses it and reads its feature stream from the
+  on-disk cache (an engine pass per distinct benchmark in a batch),
+  arrivals are sent on a fixed schedule (independent of completions,
+  so queueing delay is charged to the request — no coordinated
+  omission) and the section reports p50/p95/p99 latency plus achieved
+  throughput per worker count.  The offered rate deliberately exceeds
+  single-worker capacity, so achieved throughput ≈ capacity and the
+  worker-scaling ratio is visible directly.
 
 Results are printed and written to ``BENCH_serving.json`` (under
 ``results/`` by default).  Run directly::
@@ -174,14 +174,13 @@ def bench_cluster_load(
             queue_timeout_s=600.0,
             replicas=max(2, count),
         )
-        # one-entry model and feature caches bound the answer memo to
-        # one entry, so the round-robin below misses it on every request:
-        # each measured request (repeats inside one lane batch collapse)
-        # runs an engine pass and reloads its stream from the on-disk
-        # feature cache
+        # a one-entry answer memo makes the round-robin below miss it on
+        # every request: each measured request (repeats inside one lane
+        # batch collapse) reads its stream from the on-disk feature cache
+        # and runs an engine pass
         with PredictionCluster(
             workers=count, scale=scale, cache_dir=cache_dir, policy=policy,
-            model_cache=1, feature_cache=1,
+            answer_cache=1,
         ) as cluster:
             # load the model on every worker out of the measurement window
             warm = [

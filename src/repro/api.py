@@ -236,9 +236,9 @@ class Session:
         in-memory memo or the content-addressed on-disk feature cache —
         repeated predictions never re-encode (let alone re-trace) a
         benchmark.  The memo is unbounded (right for short-lived
-        sessions); callers with their own bounded cache — the serving
-        layer's feature LRU — pass ``memo=False`` so evicted streams
-        actually free memory.
+        sessions); the serving layer, which keeps answer rows rather
+        than streams, passes ``memo=False`` so a stream lives only as
+        long as the engine pass that reads it.
         """
         self._validate_benchmark(benchmark)
         stream = self._features.get(benchmark)
@@ -266,11 +266,11 @@ class Session:
 
         The family's :attr:`~repro.models.base.PerformanceModel.serve_inputs`
         declares its serving inputs: feature streams come from this
-        session's cache (or a caller-prefetched ``features`` array — the
-        serving layer's LRU), trace lengths from the session's scale, and
-        signature-configuration times from the caller (the cross-program
-        baseline's measured inputs).  Benchmark names are validated here,
-        before any feature work.
+        session's cache (or a caller-fetched ``features`` array — the
+        serving layer's unmemoized read), trace lengths from the session's
+        scale, and signature-configuration times from the caller (the
+        cross-program baseline's measured inputs).  Benchmark names are
+        validated here, before any feature work.
         """
         self._validate_benchmark(benchmark)
         needs = model.serve_inputs

@@ -1,8 +1,8 @@
 """Model serving: batched prediction as a long-lived service.
 
-* :mod:`~repro.serving.service` — :class:`PredictionService`: hot models
-  and feature streams in LRU caches over batched no-grad inference
-  (each batch groups its requests by model, one engine pass per group).
+* :mod:`~repro.serving.service` — :class:`PredictionService`: memoized
+  answers and hot models in LRU caches over batched no-grad inference
+  (each batch groups its misses by model, one engine pass per group).
 * :mod:`~repro.serving.dispatch` — :class:`Dispatcher`: per-model
   routing, bounded queues with timeout/rejection, lane micro-batching,
   request hedging and crash fail-over across worker lanes

@@ -108,7 +108,7 @@ def _worker_main(conn, options: dict) -> None:
         scale=options["scale"],
         cache_dir=options["cache_dir"],
         model_cache=options["model_cache"],
-        feature_cache=options["feature_cache"],
+        answer_cache=options["answer_cache"],
         mmap=options["mmap"],
     )
     while True:
@@ -219,7 +219,7 @@ class PredictionCluster:
         session: Session | None = None,
         policy: DispatchPolicy | None = None,
         model_cache: int = 4,
-        feature_cache: int = 64,
+        answer_cache: int = 256,
         mmap: bool = True,
     ):
         if workers < 0:
@@ -230,13 +230,13 @@ class PredictionCluster:
         self.workers = workers
         self._local = None if workers else PredictionService(
             session=self.session, model_cache=model_cache,
-            feature_cache=feature_cache,
+            answer_cache=answer_cache,
         )
         self._options = {
             "scale": self.session.scale.name,
             "cache_dir": self.session.cache_dir,
             "model_cache": model_cache,
-            "feature_cache": feature_cache,
+            "answer_cache": answer_cache,
             "mmap": mmap,
         }
         self.dispatcher = Dispatcher(

@@ -21,7 +21,8 @@ Each POSTed prediction request accepts the fields of
 Responses mirror ``Session.predict``: ``{"times": {config: ticks}}``
 per request, plus the artifact id that served it.
 
-Error mapping: bad JSON / unknown fields -> 400; unknown benchmark,
+Error mapping: bad JSON / unknown fields / a ``Content-Length`` that is
+not a length from 0 to ``MAX_BODY`` -> 400; unknown benchmark,
 family or artifact -> 404; overload (queue full / timeout / no
 workers — the :class:`~repro.serving.dispatch.ServingUnavailable`
 family) -> 503 with a ``Retry-After`` header; everything else -> 500
@@ -125,6 +126,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _body(self) -> dict:
         length = int(self.headers.get("Content-Length", 0))
+        if length < 0:  # rfile.read(-1) would wait for the client to hang up
+            raise ValueError("negative Content-Length")
         if length > MAX_BODY:
             raise ValueError("request body too large")
         return json.loads(self.rfile.read(length) or b"{}")

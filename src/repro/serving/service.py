@@ -1,4 +1,4 @@
-"""The prediction service: memoized answers over hot models and features.
+"""The prediction service: memoized answers over hot models.
 
 ``Session.predict`` is a one-shot path: it resolves and loads the model
 artifact on every call.  A serving process answering sustained traffic
@@ -8,19 +8,19 @@ provides:
 * **answer memo** — PerfVec's program representation is computed once
   and reused for every microarchitecture (paper Sec. III-B), so the
   reusable product of one (artifact, program) pair is its answer row.
-  :meth:`predict_batch` keeps recent rows, keyed by (artifact id,
-  benchmark, signature times), and answers a repeated request with no
-  feature fetch and no engine pass.  Artifact ids are content
-  addresses, so a swapped or retrained model gets fresh keys;
+  :meth:`predict_batch` keeps up to ``answer_cache`` recent rows, keyed
+  by (artifact id, benchmark, signature times), and answers a repeated
+  request with no feature fetch and no engine pass.  Artifact ids are
+  content addresses, so a swapped or retrained model gets fresh keys;
 * **model LRU** — recently served artifacts stay deserialized in memory,
   keyed by resolved artifact id (with ``mmap=True`` the weight arrays
   are read-only views over a shared page-cache mapping, so N worker
   processes serving the same artifact hold **one** physical copy);
-* **feature LRU** — recently missed benchmarks keep their encoded
-  ``[n, 51]`` streams (backed by the on-disk content-addressed feature
-  cache for cold entries);
 * **batched answers** — memo misses collapse by key and group by model;
-  each group runs through one ``predict_batch`` call on the model.
+  each group runs through one ``predict_batch`` call on the model.  A
+  miss reads its encoded ``[n, 51]`` stream from the on-disk
+  content-addressed feature cache for that one engine pass and keeps
+  no reference to it: the answer row is what the service holds.
 
 The service is synchronous and owns no threads.  Queueing and
 micro-batching of concurrent traffic belong to the
@@ -165,7 +165,7 @@ class PredictionService:
         scale: str = "bench",
         cache_dir: str | None = None,
         model_cache: int = 4,
-        feature_cache: int = 64,
+        answer_cache: int = 256,
         mmap: bool = False,
         frontend: str | None = None,
     ):
@@ -175,9 +175,7 @@ class PredictionService:
         )
         self.mmap = mmap
         self._models = _LRU(model_cache)
-        self._features = _LRU(feature_cache)
-        # one answer row per model/stream pair the two LRUs can keep hot
-        self._answers = _LRU(model_cache * feature_cache)
+        self._answers = _LRU(answer_cache)
         self._lock = threading.Lock()
         self._cache_events = {
             (cache, outcome): REGISTRY.counter(
@@ -185,7 +183,7 @@ class PredictionService:
                 "Serving LRU lookups by cache and outcome.",
                 cache=cache, outcome=outcome,
             )
-            for cache in ("answer", "model", "feature")
+            for cache in ("answer", "model")
             for outcome in ("hit", "miss")
         }
 
@@ -214,23 +212,15 @@ class PredictionService:
         return artifact_id, model
 
     def features(self, benchmark: str):
-        """The benchmark's encoded stream, LRU over the on-disk cache.
+        """The benchmark's encoded stream, read for one engine pass.
 
-        ``memo=False`` keeps the session's unbounded memo out of the
-        loop: this LRU is the only in-memory copy, so eviction really
-        frees the stream.
+        Loaded from the on-disk feature cache with ``memo=False`` and
+        not kept: only answer-memo misses call this, and the answer row
+        they produce is what the service holds, so the stream is freed
+        once its engine pass is done.
         """
-        with self._lock:
-            stream = self._features.get(benchmark)
-        if stream is None:
-            self._cache_events[("feature", "miss")].inc()
-            with obs.span("service.feature_load", benchmark=benchmark):
-                stream = self.session.features(benchmark, memo=False)
-            with self._lock:
-                self._features.put(benchmark, stream)
-        else:
-            self._cache_events[("feature", "hit")].inc()
-        return stream
+        with obs.span("service.feature_load", benchmark=benchmark):
+            return self.session.features(benchmark, memo=False)
 
     # -- answering --------------------------------------------------------
     def predict(self, request: ServeRequest) -> ServeResult:
@@ -330,12 +320,15 @@ class PredictionService:
 
     # -- introspection ----------------------------------------------------
     def stats(self) -> dict:
-        """This worker's counters (``worker_stats`` in ``GET /v1/stats``)."""
+        """This worker's counters (``worker_stats`` in ``GET /v1/stats``).
+
+        ``answers_cached`` and ``models_cached`` count the entries the
+        two in-memory caches hold; feature streams are never kept.
+        """
         with self._lock:
             return {
                 "scale": self.session.scale.name,
                 "frontend": self.session.frontend,
                 "answers_cached": len(self._answers),
                 "models_cached": len(self._models),
-                "features_cached": len(self._features),
             }

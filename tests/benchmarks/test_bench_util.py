@@ -19,6 +19,7 @@ sys.path.insert(
                  "benchmarks"),
 )
 
+import _bench_util
 from _bench_util import latency_summary, open_loop, percentile, time_each
 
 
@@ -131,13 +132,41 @@ def test_open_loop_latency_runs_from_intended_arrival():
     assert max(out["latencies_s"]) >= 0.02
 
 
-def test_open_loop_paces_arrivals():
+class _FakeClock:
+    """Stands in for ``_bench_util``'s ``time``: a sleep advances the
+    clock, and the wake-ups indexed in ``late`` overshoot by their value."""
+
+    def __init__(self, start: float, late: dict[int, float]):
+        self.now = start
+        self.late = late
+        self.sleeps = 0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += seconds + self.late.get(self.sleeps, 0.0)
+        self.sleeps += 1
+
+
+def test_open_loop_paces_arrivals(monkeypatch):
+    # request i is due at start + i/rate: a wake-up that runs late delays
+    # its own request only, and the next ones keep their due times (so
+    # the gap after a late request is shorter than 1/rate, by design).
+    # Binary-exact times keep the clock arithmetic exact.
+    rate, lateness = 128.0, 1 / 256
+    # sleep 1 is request 2's wake-up (request 0 is due at once)
+    clock = _FakeClock(start=100.0, late={1: lateness})
+    monkeypatch.setattr(_bench_util, "time", clock)
     stamps = []
 
     def submit(i):
-        stamps.append(time.perf_counter())
+        stamps.append(clock.now)
         return _resolved(i)
 
-    open_loop(submit, range(6), rate_rps=100.0)  # one every 10ms
-    gaps = [b - a for a, b in zip(stamps, stamps[1:])]
-    assert all(gap >= 0.008 for gap in gaps)
+    out = open_loop(submit, range(6), rate_rps=rate)
+    due = [100.0 + i / rate for i in range(6)]
+    assert all(stamp >= at for stamp, at in zip(stamps, due))  # never early
+    assert stamps == due[:2] + [due[2] + lateness] + due[3:]
+    # each latency runs from the due time: only the late request waited
+    assert out["latencies_s"] == [0.0, 0.0, lateness, 0.0, 0.0, 0.0]

@@ -1,6 +1,7 @@
 """Serving round-trip: start the HTTP service, POST, compare to Session."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -111,6 +112,21 @@ def test_bad_payload_is_400(endpoint):
     status, body = _post(f"{endpoint}/v1/predict", {"nope": 1})
     assert status == 400
     assert "benchmark" in body["error"]
+
+
+@pytest.mark.parametrize("length", ["-1", "abc"])
+def test_bad_content_length_is_400(endpoint, length):
+    # the client keeps its end open: a server that read a negative
+    # length as "until EOF" would never answer
+    host, port = endpoint.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(
+            f"POST /v1/predict HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode()
+        )
+        with sock.makefile("rb") as reply:
+            status_line = reply.readline()
+    assert status_line.split()[1] == b"400"
 
 
 def test_unknown_endpoint_is_404(endpoint):

@@ -4,8 +4,10 @@ Submitted requests go through the dispatcher: ``PredictionCluster``
 with ``workers=0`` is the in-process server ``repro serve`` runs.
 """
 
+import gc
 import sys
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -66,10 +68,10 @@ def test_config_filter(service, session):
     assert result.times == pytest.approx({config: expected[config]})
 
 
-def test_model_and_feature_caches_warm_up(service, session):
-    def hits(cache):
+def test_model_cache_warms_up(service, session):
+    def hits():
         return REGISTRY.counter(
-            "repro_serving_cache_total", cache=cache, outcome="hit"
+            "repro_serving_cache_total", cache="model", outcome="hit"
         ).value
 
     first = session.resolve_artifact()
@@ -78,20 +80,19 @@ def test_model_and_feature_caches_warm_up(service, session):
     ).artifact_id
     try:
         assert second != first
-        before = {cache: hits(cache) for cache in ("model", "feature")}
-        assert len(service._models) == 0 and len(service._features) == 0
+        before = hits()
+        assert len(service._models) == 0
         service.predict(ServeRequest(benchmark="505.mcf", artifact=first))
-        assert len(service._models) == 1 and len(service._features) == 1
-        # answer-memo misses reach the LRUs: another benchmark reuses the
-        # warm model, another artifact reuses the warm stream
+        assert len(service._models) == 1
+        # an answer-memo miss on another benchmark reuses the warm model;
+        # another artifact loads its own
         service.predict(
             ServeRequest(benchmark="999.specrand", artifact=first)
         )
-        assert len(service._models) == 1 and len(service._features) == 2
+        assert len(service._models) == 1
         service.predict(ServeRequest(benchmark="505.mcf", artifact=second))
-        assert len(service._models) == 2 and len(service._features) == 2
-        assert hits("model") - before["model"] == 1
-        assert hits("feature") - before["feature"] == 1
+        assert len(service._models) == 2
+        assert hits() - before == 1
     finally:
         # later tests serve the module's newest artifact: keep it the first
         session.store.delete(second)
@@ -206,11 +207,26 @@ def test_parameter_family_serves_its_fitted_benchmark(service, session):
         )
 
 
-def test_feature_lru_is_the_only_in_memory_copy(service, session):
+def test_served_streams_are_not_kept(service, session, monkeypatch):
+    # a memo miss reads its stream for one engine pass: once every
+    # program is answered, no stream the engine read is still alive
     session._features.clear()
-    service.predict(ServeRequest(benchmark="505.mcf"))
-    assert len(service._features) == 1
-    assert "505.mcf" not in session._features  # memo=False path
+    streams = {}
+    load = service.features
+
+    def tracked(benchmark):
+        stream = load(benchmark)
+        streams[benchmark] = weakref.ref(stream)
+        return stream
+
+    monkeypatch.setattr(service, "features", tracked)
+    for name in BENCHMARKS:
+        service.predict(ServeRequest(benchmark=name))
+    gc.collect()
+    assert sorted(streams) == sorted(BENCHMARKS)
+    assert [name for name, ref in streams.items() if ref() is not None] == []
+    assert session._features == {}  # memo=False path
+    assert service.stats()["answers_cached"] == len(BENCHMARKS)
 
 
 def test_unknown_artifact_raises_store_error(service):
@@ -324,11 +340,9 @@ def test_mutating_a_result_leaves_later_answers_alone(service):
 def test_one_entry_caches_miss_on_every_alternating_request(
     session, engine_passes
 ):
-    # the bound is model_cache x feature_cache answers: with one-entry
-    # caches a round-robin over two benchmarks never hits
-    service = PredictionService(
-        session=session, model_cache=1, feature_cache=1
-    )
+    # a one-entry answer memo holds only the latest key: a round-robin
+    # over two benchmarks never hits
+    service = PredictionService(session=session, answer_cache=1)
     for name in BENCHMARKS * 3:
         service.predict(ServeRequest(benchmark=name))
     assert len(engine_passes) == 6
