@@ -140,17 +140,8 @@ def metrics_block() -> dict:
     cache machinery do during this run" without the full buckets.
     """
     from repro import obs
-    from repro.obs.metrics import _fmt_labels
 
-    block: dict = {}
-    for name, family in obs.metrics_snapshot().items():
-        for row in family["series"]:
-            series = f"{name}{_fmt_labels(row['labels'])}"
-            if family["kind"] == "histogram":
-                block[series] = row["summary"]
-            else:
-                block[series] = row["value"]
-    return block
+    return obs.flatten_metrics([({}, obs.metrics_snapshot())])
 
 
 def run_and_record(name: str) -> ExperimentResult:

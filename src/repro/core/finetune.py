@@ -8,9 +8,9 @@ microarchitecture representation table is updated."
 With the foundation frozen, instruction representations can be computed
 *once*; and because the predictor is bias-free linear with an MSE loss, the
 optimal table rows are exactly the least-squares solution — a property the
-linear-predictor design choice buys for free.  Both solvers are provided:
-the closed form (default; exact and fast) and plain gradient descent (for
-parity with the paper's description).
+linear-predictor design choice buys for free.  The closed form replaces the
+paper's gradient descent on the table: it reaches the optimum that descent
+only approaches.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import numpy as np
 
 from repro.core.perfvec import PerfVec
 from repro.core.predictor import MicroarchTable, TICK_SCALE
-from repro.ml.autograd import Tensor, mse_loss
-from repro.ml.optim import Adam
 
 
 def fit_table_least_squares(
@@ -48,36 +46,18 @@ def learn_unseen_uarch_table(
     tuning_features: np.ndarray,
     tuning_targets: np.ndarray,
     config_names: tuple[str, ...] | None = None,
-    method: str = "lstsq",
-    epochs: int = 200,
-    lr: float = 0.01,
     chunk_len: int = 64,
-    seed: int = 0,
 ) -> MicroarchTable:
     """Learn representations of new microarchitectures with a frozen foundation.
 
     ``tuning_features``/``tuning_targets`` come from simulating a few *seen*
     programs on the unseen microarchitectures (the paper's small tuning
-    dataset); the foundation is only used for inference.
+    dataset); the foundation is only used for inference, and the table
+    rows are :func:`fit_table_least_squares` over its representations.
     """
-    if method not in ("lstsq", "sgd"):
-        raise ValueError("method must be 'lstsq' or 'sgd'")
     reps = model.instruction_representations(tuning_features, chunk_len=chunk_len)
-    k = tuning_targets.shape[1]
     table = MicroarchTable(
-        k, model.foundation.dim, config_names=config_names,
-        rng=np.random.default_rng(seed),
+        tuning_targets.shape[1], model.foundation.dim, config_names=config_names
     )
-    if method == "lstsq":
-        table.table.data = fit_table_least_squares(reps, tuning_targets)
-        return table
-    # gradient variant: only the table receives updates
-    optimizer = Adam([table.table], lr=lr)
-    reps_t = Tensor(reps)
-    scaled = tuning_targets * TICK_SCALE
-    for _ in range(epochs):
-        optimizer.zero_grad()
-        preds = table(reps_t)
-        mse_loss(preds, scaled).backward()
-        optimizer.step()
+    table.table.data = fit_table_least_squares(reps, tuning_targets)
     return table

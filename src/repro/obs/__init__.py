@@ -28,6 +28,7 @@ from repro.obs.metrics import (
     REGISTRY,
     SIZE_BUCKETS,
     MetricsRegistry,
+    flatten_metrics,
     parse_prometheus,
     render_prometheus,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "dump_flight",
     "enabled",
     "extract_message",
+    "flatten_metrics",
     "flight_snapshot",
     "group_traces",
     "hot_paths",

@@ -1,20 +1,22 @@
 """Process-local metrics registry: counters, gauges, bucketed histograms.
 
-One global :data:`REGISTRY` absorbs the counters that used to live as
-ad-hoc dicts scattered across the stack — dispatcher shed/hedge counts,
-lane batch sizes and request latency, serving, feature and
-stage-store cache hits/misses/corruption, queue lease steals and
-expiries.  Everything is recorded unconditionally (a counter bump is a
-lock + dict update — the same cost the old ad-hoc dicts paid), while
+One global :data:`REGISTRY` holds the stack's operational counts:
+dispatcher lifecycle events, lane batch sizes and request latency,
+serving cache lookups and entries, feature and stage-store cache
+hits/misses/corruption, queue lease steals and expiries.  Everything is
+recorded unconditionally (a counter bump is a lock + dict update), while
 the *expensive* observability surfaces — span logging, flight dumps —
 are gated by ``REPRO_OBS`` in :mod:`repro.obs.trace`.
 
 Exposed three ways:
 
-* ``GET /v1/metrics`` on the serving HTTP layer renders the registry in
-  Prometheus text format (a cluster frontend merges every worker's
-  snapshot under a ``worker`` label);
-* a ``metrics`` block in benchmark reports (``BENCH_*.json``);
+* the serving cluster collects one snapshot per process — the
+  frontend's, then each worker process's under a ``worker`` label.
+  ``GET /v1/metrics`` renders them as Prometheus text
+  (:func:`render_prometheus`); ``GET /v1/stats`` carries them as the
+  flat ``{series: value}`` view of :func:`flatten_metrics`;
+* the same flat view as the ``metrics`` block of benchmark reports
+  (``BENCH_*.json``);
 * :func:`repro.obs.metrics_snapshot` for tests and tooling.
 
 Histograms use fixed bucket bounds (no per-observation allocation) and
@@ -240,14 +242,9 @@ def _fmt_labels(labels: dict) -> str:
     return "{" + inner + "}"
 
 
-def render_prometheus(snapshots) -> str:
-    """Prometheus text exposition over one or more snapshots.
-
-    ``snapshots`` is an iterable of ``(extra_labels, snapshot)`` pairs —
-    a cluster frontend passes its own snapshot with no extra labels plus
-    each worker's snapshot under ``{"worker": id}``, so one scrape sees
-    the whole cluster.
-    """
+def _merge(snapshots) -> dict[str, dict]:
+    """Families by name over ``(extra_labels, snapshot)`` pairs, each
+    row's labels extended by its snapshot's extra labels."""
     families: dict[str, dict] = {}
     for extra, snap in snapshots:
         for name, family in snap.items():
@@ -258,8 +255,19 @@ def render_prometheus(snapshots) -> str:
             for row in family["series"]:
                 labels = {**row["labels"], **(extra or {})}
                 merged["rows"].append({**row, "labels": labels})
+    return dict(sorted(families.items()))
+
+
+def render_prometheus(snapshots) -> str:
+    """Prometheus text exposition over one or more snapshots.
+
+    ``snapshots`` is an iterable of ``(extra_labels, snapshot)`` pairs —
+    a cluster frontend passes its own snapshot with no extra labels plus
+    each worker's snapshot under ``{"worker": id}``, so one scrape sees
+    the whole cluster.
+    """
     lines: list[str] = []
-    for name, family in sorted(families.items()):
+    for name, family in _merge(snapshots).items():
         if family["help"]:
             lines.append(f"# HELP {name} {family['help']}")
         lines.append(f"# TYPE {name} {family['kind']}")
@@ -289,6 +297,23 @@ def render_prometheus(snapshots) -> str:
                     f"{_fmt_value(row['value'])}"
                 )
     return "\n".join(lines) + "\n"
+
+
+def flatten_metrics(snapshots) -> dict:
+    """``{series: value}`` over the same pairs :func:`render_prometheus`
+    takes, keyed like its sample lines (``name{label="v",...}``).
+
+    A counter or gauge maps to its value, a histogram to its
+    count/sum/mean/p50/p95/p99 summary instead of its buckets.
+    """
+    return {
+        f"{name}{_fmt_labels(row['labels'])}": (
+            row["summary"] if family["kind"] == "histogram"
+            else row["value"]
+        )
+        for name, family in _merge(snapshots).items()
+        for row in family["rows"]
+    }
 
 
 def parse_prometheus(text: str) -> dict[str, float]:

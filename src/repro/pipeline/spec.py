@@ -265,7 +265,7 @@ def spec_from_dict(data: Mapping, source: str = "<dict>"):
 
 def load_spec(path: str):
     """Load a spec from a ``.toml`` or ``.json`` file."""
-    from repro.pipeline._toml import TOMLError, loads as toml_loads
+    import tomllib  # only spec files need it; keeps CLI start-up lean
 
     if not os.path.exists(path):
         raise SpecError(f"no spec file at {path!r}")
@@ -279,8 +279,8 @@ def load_spec(path: str):
             raise SpecError(f"{path}: malformed JSON: {exc}") from exc
     elif ext == ".toml":
         try:
-            data = toml_loads(text)
-        except TOMLError as exc:
+            data = tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
             raise SpecError(f"{path}: malformed TOML: {exc}") from exc
     else:
         raise SpecError(

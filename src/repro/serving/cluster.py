@@ -17,7 +17,10 @@ Topology::
 
 Both modes take the same path, so the in-process server (``repro
 serve``) and ``repro serve --workers N`` share load-shedding, timeouts,
-batching, hot swap and the stats/metrics surface.
+batching, hot swap and the stats/metrics surface.  That surface counts
+nothing itself: :meth:`PredictionCluster.worker_metrics` collects the
+obs registry of every process, and ``/v1/stats`` and ``/v1/metrics``
+are two views of it.
 
 Worker processes load model weights with ``mmap=True`` — read-only
 views over the artifact's extracted ``.npy`` sidecar — so all N
@@ -53,6 +56,7 @@ from repro.api import Session
 from repro.serving.dispatch import (
     Dispatcher,
     DispatchPolicy,
+    NoWorkersAvailable,
     WorkerError,
     WorkerLink,
 )
@@ -107,6 +111,7 @@ def _worker_main(conn, options: dict) -> None:
     service = PredictionService(
         scale=options["scale"],
         cache_dir=options["cache_dir"],
+        frontend=options["frontend"],
         model_cache=options["model_cache"],
         answer_cache=options["answer_cache"],
         mmap=options["mmap"],
@@ -138,11 +143,9 @@ def _handle_control(service: PredictionService, cid: int, payload: dict):
     try:
         if op == "ping":
             return ("ctl-ok", cid, {"pid": os.getpid()})
-        if op == "stats":
-            return ("ctl-ok", cid, service.stats())
         if op == "metrics":
-            # this worker's registry snapshot; the frontend merges it
-            # into /v1/metrics under a {"worker": id} label
+            # this worker's registry snapshot; the frontend labels it
+            # {"worker": id} in /v1/metrics and /v1/stats
             return ("ctl-ok", cid, obs.metrics_snapshot())
         if op == "swap":
             # preload: after the ack this artifact is warm in the LRU,
@@ -235,6 +238,7 @@ class PredictionCluster:
         self._options = {
             "scale": self.session.scale.name,
             "cache_dir": self.session.cache_dir,
+            "frontend": self.session.frontend,
             "model_cache": model_cache,
             "answer_cache": answer_cache,
             "mmap": mmap,
@@ -368,63 +372,54 @@ class PredictionCluster:
         return worker_id
 
     def stats(self, worker_timeout_s: float = 2.0) -> dict:
+        """``GET /v1/stats``: live dispatcher state, worker pids, the
+        route table, and :meth:`worker_metrics` as a flat
+        ``{series: value}`` view."""
         with self._lock:
             pids = {
                 str(wid): proc.pid for wid, proc in sorted(self._procs.items())
             }
             routes = dict(self._routes)
         return {
+            "scale": self.session.scale.name,
+            "frontend": self.session.frontend,
             **self.dispatcher.stats(),
             "worker_pids": pids,
             "routes": routes,
-            "worker_stats": self._collect_worker_stats(worker_timeout_s),
+            "metrics": obs.flatten_metrics(
+                self.worker_metrics(worker_timeout_s)
+            ),
         }
 
-    def worker_metrics(self, timeout_s: float = 2.0) -> dict:
-        """Per-worker metrics snapshots keyed by worker id.
+    def worker_metrics(
+        self, timeout_s: float = 2.0
+    ) -> list[tuple[dict, dict]]:
+        """``[(labels, registry snapshot)]`` over every serving process.
 
-        Fans the ``metrics`` control op out to every live worker; a
-        worker that dies or stalls is simply absent from the result —
-        ``/v1/metrics`` renders whatever answered.  The in-process
-        worker records into this process's registry, so it has no
-        separate snapshot.
+        This process's snapshot comes first, unlabeled.  The ``metrics``
+        control op then fans out to every live worker process, whose
+        snapshot joins under ``{"worker": id}``; a worker that dies or
+        stalls is simply absent.  The in-process worker records into
+        this process's registry, so it adds no snapshot of its own.
         """
+        snapshots = [({}, obs.metrics_snapshot())]
         if not self._started or self._local is not None:
-            return {}
-        acks = [
-            (wid, self.dispatcher.control(wid, {"op": "metrics"}))
-            for wid in self.dispatcher.alive_workers()
-        ]
-        collected: dict = {}
-        for wid, ack in acks:
+            return snapshots
+        acks = []
+        for wid in self.dispatcher.alive_workers():
             try:
-                collected[wid] = ack.result(timeout=timeout_s)
-            except Exception:  # noqa: BLE001 - scrape is best-effort
+                ack = self.dispatcher.control(wid, {"op": "metrics"})
+            except NoWorkersAvailable:  # died since alive_workers()
                 continue
-        return collected
-
-    def _collect_worker_stats(self, timeout_s: float) -> dict:
-        """Best-effort per-worker service counters.
-
-        Control round-trips fan out to every live worker in parallel; a
-        worker that dies or stalls contributes an ``error`` entry instead
-        of failing the whole stats call.
-        """
-        if not self._started:
-            return {}
-        acks = [
-            (wid, self.dispatcher.control(wid, {"op": "stats"}))
-            for wid in self.dispatcher.alive_workers()
-        ]
-        collected: dict = {}
+            acks.append((wid, ack))
         for wid, ack in acks:
             try:
-                collected[str(wid)] = ack.result(timeout=timeout_s)
-            except Exception as exc:
-                collected[str(wid)] = {
-                    "error": f"{type(exc).__name__}: {exc}"
-                }
-        return collected
+                snapshots.append(
+                    ({"worker": str(wid)}, ack.result(timeout=timeout_s))
+                )
+            except Exception:  # noqa: BLE001 - collection is best-effort
+                continue
+        return snapshots
 
     # -- internals --------------------------------------------------------
     def _spawn_worker(self) -> int:

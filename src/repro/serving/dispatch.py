@@ -156,7 +156,6 @@ class _Lane:
         self.control: deque = deque()  # (cid, payload)
         self.inflight: set[int] = set()
         self.alive = True
-        self.served = 0
         self.cond = threading.Condition()
         self.sender = threading.Thread(
             target=self._send_loop, name=f"repro-lane-{worker_id}",
@@ -251,17 +250,16 @@ class Dispatcher:
         self._next_worker = 0
         self._admitted: dict = {}  # model key -> outstanding count (LRU order)
         self._closing = False
-        self.stats_counters = {
-            "submitted": 0, "completed": 0, "failed": 0, "rejected": 0,
-            "timed_out": 0, "hedged": 0, "failovers": 0,
-        }
-        self._event_counters = {
+        # every lifecycle event bumps one of these; a timed-out request
+        # counts as failed and as timed_out
+        self._events = {
             kind: REGISTRY.counter(
                 "repro_dispatch_events_total",
                 "Dispatcher request lifecycle events by kind.",
                 kind=kind,
             )
-            for kind in self.stats_counters
+            for kind in ("submitted", "completed", "failed", "rejected",
+                         "timed_out", "hedged", "failovers")
         }
         self._latency = REGISTRY.histogram(
             "repro_dispatch_latency_seconds",
@@ -310,19 +308,19 @@ class Dispatcher:
                 raise NoWorkersAvailable("dispatcher is shutting down")
             lanes = [lane for lane in self._lanes.values() if lane.alive]
             if not lanes:
-                self._bump("rejected")
+                self._events["rejected"].inc()
                 raise NoWorkersAvailable("no alive workers")
             self._admit(key)
             entry = _Entry(payload, key, now + self.policy.queue_timeout_s)
             lane = self._pick_lane(key, lanes)
             if lane is None:
                 self._unadmit(key)
-                self._bump("rejected")
+                self._events["rejected"].inc()
                 raise QueueFull(
                     f"every candidate worker is at queue depth "
                     f"{self.policy.queue_depth}; retry later"
                 )
-            self._bump("submitted")
+            self._events["submitted"].inc()
             self._enqueue(lane, entry)
         return entry.future
 
@@ -408,29 +406,26 @@ class Dispatcher:
                     )
                     continue
                 target = min(survivors, key=_Lane.load)
-                self._bump("failovers")
+                self._events["failovers"].inc()
                 self._enqueue(target, entry, allow_overflow=True)
         if self.on_worker_lost is not None:
             self.on_worker_lost(worker_id)
 
     # -- introspection ----------------------------------------------------
     def stats(self) -> dict:
+        """Live state: each lane's liveness and load, and the admitted
+        model keys.  Event counts live in the registry
+        (``repro_dispatch_events_total``, ``repro_dispatch_pending``)."""
         with self._lock:
             workers = {
                 str(wid): {
                     "alive": lane.alive,
                     "queued": len(lane.queue),
                     "inflight": len(lane.inflight),
-                    "served": lane.served,
                 }
                 for wid, lane in sorted(self._lanes.items())
             }
-            return {
-                **self.stats_counters,
-                "pending": len(self._pending),
-                "admitted_models": len(self._admitted),
-                "workers": workers,
-            }
+            return {"admitted_models": len(self._admitted), "workers": workers}
 
     def close(self) -> None:
         """Stop lanes and fail everything still pending (503)."""
@@ -456,11 +451,6 @@ class Dispatcher:
                 future.set_exception(NoWorkersAvailable("dispatcher closed"))
 
     # -- internals --------------------------------------------------------
-    def _bump(self, kind: str) -> None:
-        """One lifecycle event: the legacy stats dict and the registry."""
-        self.stats_counters[kind] += 1
-        self._event_counters[kind].inc()
-
     def _new_id(self) -> int:
         self._next_id += 1
         return self._next_id
@@ -479,7 +469,7 @@ class Dispatcher:
                     del admitted[stale]
                     break
             else:
-                self._bump("rejected")
+                self._events["rejected"].inc()
                 raise QueueFull(
                     f"model admission is full "
                     f"({self.policy.admission} active models); retry later"
@@ -533,14 +523,11 @@ class Dispatcher:
             lane = self._lanes.get(wid) if wid is not None else None
         if lane is not None:
             lane.mark_done(rid)
-            if entry is not None and exc is None:
-                lane.served += 1
         if entry is None:
             return  # late reply for a timed-out/hedge-resolved request
         self._resolve(entry, result=result, exc=exc)
 
     def _timeout_entry(self, entry: _Entry) -> None:
-        self._bump("timed_out")
         self._resolve(
             entry,
             exc=RequestTimeout(
@@ -563,9 +550,13 @@ class Dispatcher:
             self._unadmit(entry.key)
             self._pending_gauge.set(len(self._pending))
             if exc is None:
-                self._bump("completed")
+                self._events["completed"].inc()
             else:
-                self._bump("failed")
+                self._events["failed"].inc()
+                if isinstance(exc, RequestTimeout):
+                    # counted once resolved: a reply that wins the race
+                    # to the deadline is not a timeout
+                    self._events["timed_out"].inc()
             self._latency.observe(time.monotonic() - entry.created_at)
         if exc is None:
             entry.future.set_result(result)
@@ -612,7 +603,7 @@ class Dispatcher:
                 if lane.load() < self.policy.queue_depth
             ] or [min(lanes, key=_Lane.load)]
             entry.hedged = True
-            self._bump("hedged")
+            self._events["hedged"].inc()
             self._enqueue(candidates[0], entry, allow_overflow=True)
 
 

@@ -9,12 +9,21 @@ Endpoints::
     GET  /healthz      -> {"status": "ok", "scale": ..., "models": N,
                            "workers": alive workers (in-process: 1)}
     GET  /v1/models    -> {"models": [manifest, ...]}
-    GET  /v1/stats     -> dispatcher counters, routes, per-worker stats
-    GET  /v1/metrics   -> Prometheus text (worker processes merged in)
+    GET  /v1/stats     -> {"scale", "frontend", "admitted_models",
+                           "workers": per-lane alive/queued/inflight,
+                           "worker_pids", "routes",
+                           "metrics": {series: value}}
+    GET  /v1/metrics   -> Prometheus text
     POST /v1/predict   -> single:  {"benchmark": "505.mcf", ...}
                           batched: {"requests": [{...}, {...}]}
     POST /v1/swap      -> {"artifact": "<id>", "family": optional}
                           (atomic model hot-swap)
+
+``/v1/stats`` and ``/v1/metrics`` show the same registry snapshots: this
+process's, then each worker process's under a ``worker`` label
+(:meth:`~repro.serving.cluster.PredictionCluster.worker_metrics`).
+``/v1/stats`` flattens them to ``{series: value}``, where a histogram's
+value is its p50/p95/p99 summary.
 
 Each POSTed prediction request accepts the fields of
 :class:`~repro.serving.service.ServeRequest` (``benchmark`` required).
@@ -29,6 +38,8 @@ family) -> 503 with a ``Retry-After`` header; everything else -> 500
 with the exception text.  Worker processes map their errors with the
 same :func:`~repro.serving.service.error_reply` table before shipping
 them, so both serving modes answer a failure with the same status.
+A client that stalls mid-request for ``_Handler.timeout`` seconds has
+its connection closed unanswered.
 """
 
 from __future__ import annotations
@@ -52,6 +63,11 @@ REQUEST_ID_HEADER = "X-Request-Id"
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/2"
+
+    #: Seconds a socket read or write may block.  A client that stalls
+    #: (say, a body shorter than its ``Content-Length``) has its
+    #: connection closed instead of holding a handler thread forever.
+    timeout = 10.0
 
     #: Assigned at ingress for every request; echoed on every reply.
     request_id: str = ""
@@ -153,14 +169,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _get_metrics(self) -> None:
         """Prometheus text over this process plus every worker process."""
-        snapshots = [({}, obs.metrics_snapshot())]
-        try:
-            for wid, snap in sorted(self.service.worker_metrics().items()):
-                snapshots.append(({"worker": str(wid)}, snap))
-        except Exception:  # noqa: BLE001 - scrape must not 500
-            pass  # a dying worker shouldn't fail the whole scrape
         self._reply_text(
-            200, render_prometheus(snapshots),
+            200, render_prometheus(self.service.worker_metrics()),
             "text/plain; version=0.0.4",
         )
 

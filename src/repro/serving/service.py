@@ -27,7 +27,9 @@ micro-batching of concurrent traffic belong to the
 :class:`~repro.serving.dispatch.Dispatcher` in front of it: every
 :mod:`repro.serving.cluster` worker — spawned process or the in-process
 worker of ``repro serve`` — answers each lane batch with
-:meth:`predict_each`.
+:meth:`predict_each`.  It keeps no counters of its own: lookups count in
+``repro_serving_cache_total`` and cache sizes in
+``repro_serving_cache_entries`` of the obs registry.
 
 All six model families serve: each family's
 :attr:`~repro.models.base.PerformanceModel.serve_inputs` names what a
@@ -186,6 +188,14 @@ class PredictionService:
             for cache in ("answer", "model")
             for outcome in ("hit", "miss")
         }
+        self._entries = {
+            cache: REGISTRY.gauge(
+                "repro_serving_cache_entries",
+                "Entries the serving answer memo and model LRU hold.",
+                cache=cache,
+            )
+            for cache in ("answer", "model")
+        }
 
     # -- caches -----------------------------------------------------------
     def model(
@@ -207,6 +217,7 @@ class PredictionService:
                 )
             with self._lock:
                 self._models.put(artifact_id, model)
+                self._entries["model"].set(len(self._models))
         else:
             self._cache_events[("model", "hit")].inc()
         return artifact_id, model
@@ -281,6 +292,7 @@ class PredictionService:
                     # immutable, so no caller can edit a later answer
                     answers[key] = (model.config_names, tuple(times.tolist()))
                     self._answers.put(key, answers[key])
+                self._entries["answer"].set(len(self._answers))
 
         results = []
         for key, request in zip(keys, requests):
@@ -317,18 +329,3 @@ class PredictionService:
             for request in requests:
                 out.extend(self.predict_each([request]))
             return out
-
-    # -- introspection ----------------------------------------------------
-    def stats(self) -> dict:
-        """This worker's counters (``worker_stats`` in ``GET /v1/stats``).
-
-        ``answers_cached`` and ``models_cached`` count the entries the
-        two in-memory caches hold; feature streams are never kept.
-        """
-        with self._lock:
-            return {
-                "scale": self.session.scale.name,
-                "frontend": self.session.frontend,
-                "answers_cached": len(self._answers),
-                "models_cached": len(self._models),
-            }

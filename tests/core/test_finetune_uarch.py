@@ -44,25 +44,16 @@ def test_lstsq_validates_shapes():
         fit_table_least_squares(np.zeros((4, 3)), np.zeros((5, 2)))
 
 
-def test_learn_unseen_table_lstsq_vs_sgd(model, tuning_data):
-    feats = tuning_data.features
-    targets = tuning_data.targets
-    t_ls = learn_unseen_uarch_table(model, feats, targets, method="lstsq")
-    t_sgd = learn_unseen_uarch_table(
-        model, feats, targets, method="sgd", epochs=300, lr=0.02
+def test_learn_unseen_table_is_the_closed_form(model, tuning_data):
+    names = ("new-a", "new-b", "new-c")
+    table = learn_unseen_uarch_table(
+        model, tuning_data.features, tuning_data.targets, config_names=names
     )
-    reps = model.instruction_representations(feats, chunk_len=64)
-    mse_ls = np.mean((reps @ t_ls.table.data.T - targets * TICK_SCALE) ** 2)
-    mse_sgd = np.mean((reps @ t_sgd.table.data.T - targets * TICK_SCALE) ** 2)
-    # the closed form is optimal: sgd can approach but not beat it
-    assert mse_ls <= mse_sgd * 1.05
-
-
-def test_learn_unseen_table_bad_method(model, tuning_data):
-    with pytest.raises(ValueError):
-        learn_unseen_uarch_table(
-            model, tuning_data.features, tuning_data.targets, method="magic"
-        )
+    reps = model.instruction_representations(tuning_data.features, chunk_len=64)
+    np.testing.assert_array_equal(
+        table.table.data, fit_table_least_squares(reps, tuning_data.targets)
+    )
+    assert table.config_names == names
 
 
 def test_frozen_foundation_unchanged(model, tuning_data):

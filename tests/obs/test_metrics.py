@@ -6,6 +6,7 @@ from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     SIZE_BUCKETS,
     MetricsRegistry,
+    flatten_metrics,
     parse_prometheus,
     render_prometheus,
 )
@@ -110,6 +111,27 @@ def test_prometheus_merges_worker_snapshots():
     samples = parse_prometheus(text)
     assert samples["reqs_total"] == 2
     assert samples['reqs_total{worker="0"}'] == 5
+
+
+def test_flat_view_matches_the_rendered_samples():
+    frontend, worker = MetricsRegistry(), MetricsRegistry()
+    frontend.counter("reqs_total", kind="ok").inc(2)
+    frontend.histogram("dur_seconds", buckets=(0.1, 1.0)).observe(0.5)
+    worker.counter("reqs_total", kind="ok").inc(5)
+    worker.gauge("held").set(3)
+    pairs = [({}, frontend.snapshot()), ({"worker": "0"}, worker.snapshot())]
+    flat = flatten_metrics(pairs)
+    samples = parse_prometheus(render_prometheus(pairs))
+    # counters and gauges: the same keys and values as the sample lines
+    key = 'reqs_total{kind="ok"}'
+    assert flat[key] == samples[key] == 2
+    assert flat['reqs_total{kind="ok",worker="0"}'] == 5
+    assert flat['held{worker="0"}'] == samples['held{worker="0"}'] == 3
+    # a histogram reads as its summary, not its buckets
+    summary = flat["dur_seconds"]
+    assert summary["count"] == samples["dur_seconds_count"] == 1
+    assert 0.1 <= summary["p50"] <= 1.0
+    assert not any(key.startswith("dur_seconds_") for key in flat)
 
 
 def test_parse_rejects_malformed_line():

@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import Session
+from repro.obs.metrics import REGISTRY
 from repro.serving import (
     DispatchPolicy,
     PredictionCluster,
@@ -22,6 +23,7 @@ from repro.serving import (
 
 SPEC = dict(arch="lstm-1-8", chunk_len=16, batch_size=8, epochs=1)
 BENCHMARKS = ("999.specrand", "505.mcf")
+COMPLETED = 'repro_dispatch_events_total{kind="completed"}'
 
 
 @pytest.fixture(scope="module")
@@ -56,11 +58,14 @@ def test_negative_worker_count_is_rejected(session):
 
 def test_in_process_worker_runs_the_cluster_surface(tmp_path):
     # workers=0 is the same dispatcher path with one in-process worker:
-    # exact answers, hot swap, per-worker stats, no worker processes.
+    # exact answers, hot swap, stats, no worker processes.
     # Its own store: a second artifact here must not become "newest"
     # for the module's cluster.
     session = Session(scale="smoke", cache_dir=str(tmp_path))
     old_id = session.train(benchmarks=BENCHMARKS, **SPEC).artifact_id
+    before = REGISTRY.counter(
+        "repro_dispatch_events_total", kind="completed"
+    ).value
     with PredictionCluster(workers=0, session=session) as server:
         result = server.predict(ServeRequest(benchmark="505.mcf"), timeout=120)
         assert result.artifact == old_id
@@ -81,14 +86,13 @@ def test_in_process_worker_runs_the_cluster_surface(tmp_path):
         assert swapped.times == session.predict("505.mcf", artifact=new_id)
 
         stats = server.stats()
-        assert stats["completed"] == 3 and stats["worker_pids"] == {}
+        assert (stats["scale"], stats["frontend"]) == ("smoke", "mini-asm")
+        assert stats["metrics"][COMPLETED] - before == 3
+        assert stats["worker_pids"] == {}
         assert stats["routes"] == {"perfvec": new_id}
-        assert [w["scale"] for w in stats["worker_stats"].values()] == [
-            "smoke"
-        ]
         # the in-process worker records into this process's registry,
-        # which /v1/metrics renders once — no per-worker copy
-        assert server.worker_metrics() == {}
+        # which is collected once — no per-worker copy
+        assert [labels for labels, _ in server.worker_metrics()] == [{}]
         with pytest.raises(RuntimeError, match="no workers to kill"):
             server.kill_worker()
 
@@ -215,7 +219,7 @@ def test_worker_errors_carry_status(cluster):
 def test_stats_expose_workers_and_routes(cluster, session):
     result = cluster.predict(ServeRequest(benchmark="505.mcf"), timeout=120)
     stats = cluster.stats()
-    assert stats["completed"] >= 1
+    assert stats["metrics"][COMPLETED] >= 1
     assert len(stats["worker_pids"]) == 2
     # the route table pins the artifact this very request was served by
     assert stats["routes"]["perfvec"] == result.artifact
@@ -235,23 +239,41 @@ def wait_until(predicate, timeout_s: float = 10.0) -> bool:
 def test_worker_stats_report_each_workers_service(cluster):
     cluster.predict(ServeRequest(benchmark="505.mcf"), timeout=120)
     stats = cluster.stats()
-    workers = stats["worker_stats"]
-    assert len(workers) == 2
-    for report in workers.values():
-        # every worker answers its control probe with its own service
-        # counters
-        assert "error" not in report
-        assert report["scale"] == "smoke"
+    assert stats["scale"] == "smoke"
+    # every worker's registry joins the flat view under its own label,
+    # and the answer just served is held by a worker's memo
+    held = {
+        wid: stats["metrics"].get(
+            f'repro_serving_cache_entries{{cache="answer",worker="{wid}"}}'
+        )
+        for wid in stats["worker_pids"]
+    }
+    assert len(held) == 2 and None not in held.values()
+    assert sum(held.values()) >= 1
 
 
 def test_worker_metrics_fanout(cluster):
     cluster.predict(ServeRequest(benchmark="505.mcf"), timeout=120)
     metrics = cluster.worker_metrics()
-    assert len(metrics) == 2
-    # the request passed through exactly one worker's serving caches
+    # this process first, then each live worker under its label
+    assert [labels for labels, _ in metrics] == [{}] + [
+        {"worker": str(wid)} for wid in cluster.dispatcher.alive_workers()
+    ]
+    # the request passed through a worker's serving caches
     assert any(
-        "repro_serving_cache_total" in snap for snap in metrics.values()
+        "repro_serving_cache_total" in snap for _, snap in metrics[1:]
     )
-    for snap in metrics.values():
+    for _, snap in metrics:
         for family in snap.values():
             assert family["kind"] in ("counter", "gauge", "histogram")
+
+
+def test_worker_processes_serve_the_sessions_frontend(tmp_path):
+    # a worker process builds its own session: it must resolve names
+    # against the cluster session's trace frontend, not the default one
+    session = Session(scale="smoke", cache_dir=str(tmp_path), frontend="rv")
+    session.train(benchmarks=("rv.axpy", "rv.gcd"), **SPEC)
+    with PredictionCluster(workers=1, session=session) as server:
+        result = server.predict(ServeRequest(benchmark="rv.axpy"), timeout=120)
+        assert server.stats()["frontend"] == "rv"
+    assert result.times == session.predict("rv.axpy")

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.obs.metrics import REGISTRY
 from repro.serving.dispatch import (
     Dispatcher,
     DispatchPolicy,
@@ -47,6 +48,26 @@ class DeadLink(WorkerLink):
         raise BrokenPipeError("worker is gone")
 
 
+KINDS = ("submitted", "completed", "failed", "rejected", "timed_out",
+         "hedged", "failovers")
+
+
+def event_counts() -> dict:
+    """``repro_dispatch_events_total`` by kind; the registry is
+    process-wide, so tests compare counts before and after."""
+    return {
+        kind: REGISTRY.counter("repro_dispatch_events_total", kind=kind).value
+        for kind in KINDS
+    }
+
+
+def events_since(before: dict) -> dict:
+    """The kinds whose count moved since ``before``, with the change."""
+    now = event_counts()
+    return {kind: now[kind] - before[kind] for kind in KINDS
+            if now[kind] != before[kind]}
+
+
 def wait_until(predicate, timeout_s: float = 2.0) -> bool:
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
@@ -71,9 +92,11 @@ def make_dispatcher(policy, links):
 
 def test_no_workers_is_clean_rejection():
     dispatcher = Dispatcher(DispatchPolicy())
+    before = event_counts()
     try:
         with pytest.raises(NoWorkersAvailable):
             dispatcher.submit({"x": 1}, key="m")
+        assert events_since(before) == {"rejected": 1}
     finally:
         dispatcher.close()
 
@@ -86,6 +109,7 @@ def test_saturated_queue_rejects_immediately_never_hangs(fast_policy):
         watchdog_interval_s=0.002,
     )
     dispatcher, _ = make_dispatcher(policy, [ManualLink()])
+    before = event_counts()
     try:
         futures = [dispatcher.submit({"i": i}, key="m") for i in range(3)]
         start = time.monotonic()
@@ -93,7 +117,7 @@ def test_saturated_queue_rejects_immediately_never_hangs(fast_policy):
             dispatcher.submit({"i": 3}, key="m")
         assert time.monotonic() - start < 1.0  # rejected, not stalled
         assert isinstance(QueueFull("x"), ServingUnavailable)  # 503 family
-        assert dispatcher.stats()["rejected"] == 1
+        assert events_since(before) == {"submitted": 3, "rejected": 1}
         assert not any(f.done() for f in futures)
     finally:
         dispatcher.close()
@@ -103,6 +127,7 @@ def test_unanswered_requests_time_out_with_503(fast_policy):
     # the worker swallows the request; the watchdog must fail it with
     # RequestTimeout around queue_timeout_s — a hang here deadlocks CI
     dispatcher, _ = make_dispatcher(fast_policy, [ManualLink()])
+    before = event_counts()
     try:
         future = dispatcher.submit({"x": 1}, key="m")
         start = time.monotonic()
@@ -110,7 +135,9 @@ def test_unanswered_requests_time_out_with_503(fast_policy):
             future.result(timeout=5.0)
         elapsed = time.monotonic() - start
         assert elapsed < 2.0  # ~queue_timeout_s, not the outer timeout
-        assert dispatcher.stats()["timed_out"] == 1
+        assert events_since(before) == {
+            "submitted": 1, "failed": 1, "timed_out": 1,
+        }
     finally:
         dispatcher.close()
 
@@ -141,6 +168,7 @@ def test_expired_requests_are_not_sent_to_workers():
 def test_completion_resolves_future_with_result(fast_policy):
     link = ManualLink()
     dispatcher, _ = make_dispatcher(fast_policy, [link])
+    before = event_counts()
     try:
         future = dispatcher.submit({"x": 1}, key="m")
         assert wait_until(lambda: len(link.sent) == 1)
@@ -148,8 +176,12 @@ def test_completion_resolves_future_with_result(fast_policy):
         assert payload == {"x": 1}
         dispatcher.complete(rid, {"answer": 42})
         assert future.result(timeout=2.0) == {"answer": 42}
-        stats = dispatcher.stats()
-        assert stats["completed"] == 1 and stats["failed"] == 0
+        # one request, one count per event it went through
+        assert events_since(before) == {"submitted": 1, "completed": 1}
+        assert dispatcher.stats() == {
+            "admitted_models": 1,
+            "workers": {"0": {"alive": True, "queued": 0, "inflight": 0}},
+        }
     finally:
         dispatcher.close()
 
@@ -161,6 +193,7 @@ def test_hedging_duplicates_stragglers_first_reply_wins():
     )
     first, second = ManualLink(), ManualLink()
     dispatcher, _ = make_dispatcher(policy, [first, second])
+    before = event_counts()
     try:
         future = dispatcher.submit({"x": 1}, key="m")
         # the primary swallows the request; the hedge must land on the
@@ -176,8 +209,9 @@ def test_hedging_duplicates_stragglers_first_reply_wins():
         assert future.result(timeout=2.0) == "hedged answer"
         dispatcher.complete(primary_rid, "late answer")  # ignored
         assert future.result() == "hedged answer"
-        stats = dispatcher.stats()
-        assert stats["hedged"] == 1 and stats["completed"] == 1
+        assert events_since(before) == {
+            "submitted": 1, "hedged": 1, "completed": 1,
+        }
     finally:
         dispatcher.close()
 
@@ -191,6 +225,7 @@ def test_worker_loss_fails_over_inflight_requests(fast_policy):
     dispatcher, (lossy_id, survivor_id) = make_dispatcher(
         policy, [lossy, survivor]
     )
+    before = event_counts()
     try:
         futures = [dispatcher.submit({"i": i}, key="m") for i in range(4)]
         assert wait_until(lambda: len(lossy.sent) + len(survivor.sent) >= 1)
@@ -216,8 +251,7 @@ def test_worker_loss_fails_over_inflight_requests(fast_policy):
         assert wait_until(drain, timeout_s=5.0)
         for future in futures:
             assert future.result(timeout=2.0) == "ok"
-        stats = dispatcher.stats()
-        assert stats["failovers"] >= 1
+        assert events_since(before).get("failovers", 0) >= 1
         assert dispatcher.alive_workers() == [
             wid for wid in (lossy_id, survivor_id) if wid != dead_id
         ]

@@ -9,7 +9,9 @@ import urllib.request
 import pytest
 
 from repro.api import Session
+from repro.obs.metrics import parse_prometheus
 from repro.serving import PredictionCluster, make_server
+from repro.serving.http import _Handler
 
 SPEC = dict(arch="lstm-1-8", chunk_len=16, batch_size=8, epochs=1)
 BENCHMARKS = ("999.specrand", "505.mcf")
@@ -24,11 +26,9 @@ def session(tmp_path_factory):
     return session
 
 
-@pytest.fixture(scope="module")
-def endpoint(session):
-    # the in-process server `repro serve` runs (no --workers)
-    service = PredictionCluster(workers=0, session=session)
-    server = make_server(service, port=0)  # ephemeral port
+def _serve(service):
+    """Serve ``service`` on an ephemeral port; yields the base URL."""
+    server = make_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
@@ -37,6 +37,17 @@ def endpoint(session):
     service.stop()
     thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+@pytest.fixture(scope="module")
+def endpoint(session):
+    # the in-process server `repro serve` runs (no --workers)
+    yield from _serve(PredictionCluster(workers=0, session=session))
+
+
+@pytest.fixture(params=[0, 2], ids=["in-process", "2-workers"])
+def any_endpoint(request, session):
+    yield from _serve(PredictionCluster(workers=request.param, session=session))
 
 
 def _get(url):
@@ -129,6 +140,25 @@ def test_bad_content_length_is_400(endpoint, length):
     assert status_line.split()[1] == b"400"
 
 
+def test_stalled_body_is_cut_off(endpoint, monkeypatch):
+    # a body shorter than its Content-Length must not hold a handler
+    # thread: the read times out and the server closes the connection.
+    # The shipped handler bounds every socket wait; the test lowers it.
+    assert _Handler.timeout is not None and 0 < _Handler.timeout <= 60
+    monkeypatch.setattr(_Handler, "timeout", 0.3)
+    host, port = endpoint.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(
+            f"POST /v1/predict HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: 100\r\n\r\n{{}}".encode()
+        )
+        with sock.makefile("rb") as reply:
+            assert reply.read() == b""  # closed, not left hanging
+    # the short timeout does not cut off a client that sends its body
+    status, body = _post(f"{endpoint}/v1/predict", {"benchmark": "505.mcf"})
+    assert status == 200 and body["benchmark"] == "505.mcf"
+
+
 def test_unknown_endpoint_is_404(endpoint):
     status, body = _post(f"{endpoint}/v1/nope", {"benchmark": "505.mcf"})
     assert status == 404
@@ -190,8 +220,6 @@ def test_error_responses_carry_request_id_in_body(endpoint):
 
 
 def test_metrics_endpoint_parses_with_core_series(endpoint):
-    from repro.obs.metrics import parse_prometheus
-
     # the repeat hits the answer memo; a memo miss on the loaded model
     # (999.specrand here, or in an earlier test) hits the model LRU
     for name in ("505.mcf", "505.mcf", "999.specrand"):
@@ -219,9 +247,10 @@ def test_stats_and_swap_work_in_process(endpoint, session):
     assert status == 200
     artifact = session.resolve_artifact()
     assert stats["routes"] == {"perfvec": artifact}
-    assert stats["completed"] >= 1 and stats["workers"]["0"]["alive"]
-    (worker,) = stats["worker_stats"].values()
-    assert worker["scale"] == "smoke" and worker["models_cached"] >= 1
+    assert stats["scale"] == "smoke" and stats["workers"]["0"]["alive"]
+    metrics = stats["metrics"]
+    assert metrics['repro_dispatch_events_total{kind="completed"}'] >= 1
+    assert metrics['repro_serving_cache_entries{cache="model"}'] >= 1
 
     status, body = _post(f"{endpoint}/v1/swap", {"artifact": artifact})
     assert status == 200
@@ -229,3 +258,34 @@ def test_stats_and_swap_work_in_process(endpoint, session):
     assert body["workers"] == 1
     status, body = _post(f"{endpoint}/v1/swap", {"artifact": "perfvec-nope"})
     assert status == 404
+
+
+def test_stats_and_metrics_show_one_fan_out(any_endpoint):
+    # /v1/stats' flat view and /v1/metrics' samples come from the same
+    # per-process snapshots, worker processes included
+    for name in ("505.mcf", "505.mcf", "999.specrand"):
+        status, _ = _post(f"{any_endpoint}/v1/predict", {"benchmark": name})
+        assert status == 200
+    status, stats = _get(f"{any_endpoint}/v1/stats")
+    assert status == 200
+    status, _, body = _get_raw(f"{any_endpoint}/v1/metrics")
+    assert status == 200
+    samples = parse_prometheus(body.decode())
+    flat = stats["metrics"]
+    keys = ['repro_dispatch_events_total{kind="completed"}'] + [
+        key for key in samples if key.startswith("repro_serving_cache_")
+    ]
+    assert {key: flat[key] for key in keys} == {
+        key: samples[key] for key in keys
+    }
+    assert flat[keys[0]] >= 3
+    # every worker process's series carry its label in both views
+    labeled = {
+        key.split('worker="')[1].split('"')[0]
+        for key in keys if 'worker="' in key
+    }
+    assert labeled == set(stats["worker_pids"])
+    # a histogram reads as its summary
+    latency = flat["repro_dispatch_latency_seconds"]
+    assert latency["count"] == samples["repro_dispatch_latency_seconds_count"]
+    assert set(latency) >= {"p50", "p95", "p99"}

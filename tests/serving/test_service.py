@@ -24,6 +24,17 @@ SPEC = dict(arch="lstm-1-8", chunk_len=16, batch_size=8, epochs=1)
 BENCHMARKS = ("999.specrand", "505.mcf")
 
 
+def completed() -> float:
+    return REGISTRY.counter(
+        "repro_dispatch_events_total", kind="completed"
+    ).value
+
+
+def entries(cache: str) -> float:
+    """The serving cache's size, as its last update set it."""
+    return REGISTRY.gauge("repro_serving_cache_entries", cache=cache).value
+
+
 @pytest.fixture(scope="module")
 def session(tmp_path_factory):
     session = Session(
@@ -113,6 +124,7 @@ def test_batch_results_in_request_order(service, session):
 
 
 def test_submit_micro_batches(in_process, session):
+    before = completed()
     futures = [
         in_process.submit(ServeRequest(benchmark=name))
         for name in ("505.mcf", "999.specrand", "505.mcf", "999.specrand")
@@ -123,7 +135,7 @@ def test_submit_micro_batches(in_process, session):
         # the in-process worker hands results over unencoded: the same
         # bits as the one-shot session path
         assert result.times == expected[result.benchmark]
-    assert in_process.stats()["completed"] == len(futures)
+    assert completed() - before == len(futures)
 
 
 def test_concurrent_clients_share_lane_batches_exactly(in_process, session):
@@ -132,7 +144,7 @@ def test_concurrent_clients_share_lane_batches_exactly(in_process, session):
     expected = session.predict_many(BENCHMARKS)
     names = [BENCHMARKS[i % 2] for i in range(40)]
     batches = REGISTRY.histogram("repro_dispatch_batch_size")
-    before = (batches.count, batches.total)
+    before = (batches.count, batches.total, completed())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -146,8 +158,8 @@ def test_concurrent_clients_share_lane_batches_exactly(in_process, session):
     finally:
         sys.setswitchinterval(interval)
     assert [r.times for r in results] == [expected[n] for n in names]
-    stats = in_process.stats()
-    assert stats["completed"] == 40 and stats["pending"] == 0
+    assert completed() - before[2] == 40
+    assert REGISTRY.gauge("repro_dispatch_pending").value == 0
     assert batches.total - before[1] == 40
     assert batches.count - before[0] < 40
 
@@ -226,7 +238,7 @@ def test_served_streams_are_not_kept(service, session, monkeypatch):
     assert sorted(streams) == sorted(BENCHMARKS)
     assert [name for name, ref in streams.items() if ref() is not None] == []
     assert session._features == {}  # memo=False path
-    assert service.stats()["answers_cached"] == len(BENCHMARKS)
+    assert entries("answer") == len(BENCHMARKS)
 
 
 def test_unknown_artifact_raises_store_error(service):
@@ -305,12 +317,12 @@ def test_each_artifact_answers_from_its_own_entries(tmp_path):
         pinned = server.predict(
             ServeRequest(benchmark="505.mcf", artifact=old_id), timeout=120
         )
-        (worker,) = server.stats()["worker_stats"].values()
+        stats = server.stats()
     assert (old.artifact, new.artifact) == (old_id, new_id)
     assert new.times == session.predict("505.mcf", artifact=new_id)
     assert new.times != old.times
     assert pinned.times == old.times
-    assert worker["answers_cached"] == 2
+    assert stats["metrics"]['repro_serving_cache_entries{cache="answer"}'] == 2
 
 
 def test_signature_times_are_part_of_the_key(service, session):
@@ -346,7 +358,7 @@ def test_one_entry_caches_miss_on_every_alternating_request(
     for name in BENCHMARKS * 3:
         service.predict(ServeRequest(benchmark=name))
     assert len(engine_passes) == 6
-    assert service.stats()["answers_cached"] == 1
+    assert entries("answer") == 1
 
 
 def test_concurrent_callers_share_one_memo_exactly(service, session):
@@ -365,7 +377,7 @@ def test_concurrent_callers_share_one_memo_exactly(service, session):
     finally:
         sys.setswitchinterval(interval)
     assert [r.times for r in results] == [expected[n] for n in names]
-    assert service.stats()["answers_cached"] == 2
+    assert entries("answer") == 2
 
 
 def test_answer_counters_and_stats_track_the_memo(service):
@@ -375,10 +387,9 @@ def test_answer_counters_and_stats_track_the_memo(service):
         ).value
 
     before = (count("hit"), count("miss"))
-    assert service.stats()["answers_cached"] == 0
     service.predict_batch([ServeRequest(benchmark="505.mcf")] * 2)
     service.predict(ServeRequest(benchmark="505.mcf"))
     service.predict(ServeRequest(benchmark="999.specrand"))
     # the in-batch repeat was not held when looked up: a miss
     assert (count("hit") - before[0], count("miss") - before[1]) == (1, 3)
-    assert service.stats()["answers_cached"] == 2
+    assert (entries("answer"), entries("model")) == (2, 1)
