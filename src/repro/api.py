@@ -237,8 +237,10 @@ class Session:
         repeated predictions never re-encode (let alone re-trace) a
         benchmark.  The memo is unbounded (right for short-lived
         sessions); the serving layer, which keeps answer rows rather
-        than streams, passes ``memo=False`` so a stream lives only as
-        long as the engine pass that reads it.
+        than streams, passes ``memo=False``: the stream then lives only
+        as long as the engine pass that reads it, and a feature-cache
+        miss traces the benchmark outside the frontend's process-wide
+        trace memo, so the trace is freed once encoded.
         """
         self._validate_benchmark(benchmark)
         stream = self._features.get(benchmark)
@@ -249,7 +251,7 @@ class Session:
                     feature_cache_dir(self.cache_dir)
                     if self.cache_dir else "auto"
                 ),
-                isa=self.frontend,
+                isa=self.frontend, memo=memo,
             )
             if memo:
                 self._features[benchmark] = stream

@@ -13,9 +13,13 @@ Inference runs on the batched no-grad engine (:mod:`repro.ml.inference`):
 feature streams — any number of them at once — are cut into contiguous
 chunks, chunks from *all* streams are packed into dense batches, and the
 foundation's ``infer`` runs each batch through the same fused recurrent
-ops as training, with no autograd node recorded.  "The representations of all instructions can be generated
-in parallel" (Sec. III-B) — here parallelism is the batch dimension of one
-BLAS call, shared across every queued request.
+step loop as training, with no autograd node recorded.  Such a pass
+keeps each layer's outputs and the running state, not the gate history
+backward would read, and :meth:`PerfVec.program_representations` sums
+each batch's representations in float64 without a float64 copy of them.
+"The representations of all instructions can be generated in parallel"
+(Sec. III-B) — here parallelism is the batch dimension of one BLAS call,
+shared across every queued request.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ class PerfVec(Module):
         out = np.zeros((len(streams), self.foundation.dim), dtype=np.float64)
         for places, batch in iter_chunk_batches(streams, chunk_len, batch_size):
             reps, _ = self.foundation.infer(batch)
-            sums = reps.astype(np.float64).sum(axis=1)
+            sums = reps.sum(axis=1, dtype=np.float64)
             for row, (s, _start, _length) in enumerate(places):
                 out[s] += sums[row]
         return out

@@ -96,8 +96,13 @@ def encoded_features(
     cache_dir: str | None = DEFAULT_CACHE_DIR,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     isa: str = DEFAULT_FRONTEND,
+    memo: bool = True,
 ) -> np.ndarray:
-    """The benchmark's encoded ``[n, 51]`` features, via the on-disk cache."""
+    """The benchmark's encoded ``[n, 51]`` features, via the on-disk cache.
+
+    A cache miss traces the benchmark through its frontend; ``memo=False``
+    keeps that trace out of the frontend's process-wide trace memo.
+    """
     from repro.frontends import get_frontend
     from repro.ml.serialize import save_arrays
 
@@ -126,7 +131,9 @@ def encoded_features(
                 return features
         else:
             _count("miss")
-    trace = get_frontend(isa).trace(benchmark, max_instructions, seed=seed)
+    trace = get_frontend(isa).trace(
+        benchmark, max_instructions, seed=seed, memo=memo
+    )
     # fill a preallocated matrix chunk-by-chunk: peak transient memory is
     # one chunk, not a second copy of the whole stream
     features = np.empty((len(trace), NUM_FEATURES), dtype=np.float32)

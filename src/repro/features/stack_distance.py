@@ -6,12 +6,14 @@ III-C, citing Ding & Zhong).  Accesses with longer stack distances are more
 likely to miss in caches of any size — which is exactly why the feature is
 microarchitecture-independent.
 
-The classic O(n log n) algorithm: a Fenwick tree marks the positions that
-are the *most recent* occurrence of their key; the distance of an access is
-the number of marks strictly between the previous occurrence and now.
+Each access's distance counts the keys whose latest access falls after
+the key's previous one: a sorted list of those latest positions, one per
+key, answers that with one ``bisect`` per access.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -19,88 +21,44 @@ import numpy as np
 COLD = -1
 
 
-class _Fenwick:
-    """Fenwick/BIT over fixed positions with +/-1 updates."""
-
-    __slots__ = ("size", "tree")
-
-    def __init__(self, size: int):
-        self.size = size
-        self.tree = [0] * (size + 1)
-
-    def add(self, index: int, delta: int) -> None:
-        tree = self.tree
-        i = index + 1
-        size = self.size
-        while i <= size:
-            tree[i] += delta
-            i += i & -i
-
-    def prefix(self, index: int) -> int:
-        """Sum of marks at positions [0, index]."""
-        tree = self.tree
-        i = index + 1
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & -i
-        return total
-
-
 class StackDistanceStream:
     """Resumable stack-distance computation over appended key chunks.
 
     Feeding one long key sequence through successive :meth:`push` calls
     yields exactly the distances of a single whole-sequence pass — the
-    Fenwick tree and the last-occurrence map carry across chunks (the tree
-    doubles its capacity, re-marking the live positions, when a chunk runs
-    past it).  This is what lets :mod:`repro.features.encoder` stream long
-    traces through bounded memory.
+    sorted latest-access positions and the key -> position map carry
+    across chunks.  This is what lets :mod:`repro.features.encoder`
+    stream long traces through bounded memory.
     """
 
-    __slots__ = ("_fen", "_last", "_pos")
+    __slots__ = ("_latest", "_last", "_pos")
 
-    def __init__(self, capacity: int = 1024):
-        self._fen = _Fenwick(max(capacity, 1))
+    def __init__(self):
+        self._latest: list[int] = []  # each key's latest position, sorted
         self._last: dict[int, int] = {}
         self._pos = 0
 
-    def _grow(self, minimum: int) -> None:
-        size = self._fen.size
-        while size < minimum:
-            size *= 2
-        fen = _Fenwick(size)
-        for pos in self._last.values():  # only most-recent positions are marked
-            fen.add(pos, 1)
-        self._fen = fen
-
     def push(self, keys) -> np.ndarray:
         """Distances for the next chunk of accesses (``COLD`` = first)."""
-        keys = np.asarray(keys)
-        n = len(keys)
-        out = np.empty(n, dtype=np.int64)
-        if n == 0:
-            return out
-        base = self._pos
-        if base + n > self._fen.size:
-            self._grow(base + n)
-        fen = self._fen
-        add = fen.add
-        prefix = fen.prefix
+        latest = self._latest
         last = self._last
-        for off, k in enumerate(keys.tolist()):
-            i = base + off
+        out = []
+        i = self._pos
+        for k in np.asarray(keys).tolist():
             j = last.get(k)
             if j is None:
-                out[off] = COLD
+                out.append(COLD)
             else:
-                # marks strictly between j and i (positions j+1 .. i-1)
-                out[off] = prefix(i - 1) - prefix(j)
-                add(j, -1)
-            add(i, 1)
+                # j is still k's latest position, so it is in the list;
+                # the distinct keys accessed since are the entries after it
+                at = bisect_left(latest, j)
+                out.append(len(latest) - at - 1)
+                del latest[at]
+            latest.append(i)  # positions only grow: the list stays sorted
             last[k] = i
-        self._pos = base + n
-        return out
+            i += 1
+        self._pos = i
+        return np.array(out, dtype=np.int64)
 
 
 class MaskedStackDistanceStream:
@@ -135,8 +93,7 @@ def stack_distances(keys) -> np.ndarray:
     number of distinct keys touched strictly between this access and the
     previous access to the same key (0 for back-to-back reuse).
     """
-    keys = np.asarray(keys)
-    return StackDistanceStream(capacity=len(keys)).push(keys)
+    return StackDistanceStream().push(keys)
 
 
 def stack_distances_where(keys, mask) -> np.ndarray:

@@ -57,13 +57,17 @@ class Frontend(abc.ABC):
 
     @abc.abstractmethod
     def trace(
-        self, benchmark: str, max_instructions: int, seed: int | None = None
+        self, benchmark: str, max_instructions: int, seed: int | None = None,
+        memo: bool = True,
     ) -> Trace:
         """The benchmark's dynamic trace in the canonical vocabulary.
 
         Deterministic in ``(benchmark, max_instructions, seed)`` —
         dataset and feature caches key on exactly those inputs plus the
-        frontend name.
+        frontend name.  Frontends that run a VM keep each trace in a
+        process-wide memo, which dataset builds and DSE points share;
+        ``memo=False`` (a serving miss) still reads that memo but adds
+        nothing to it.
         """
 
     # -- vocabulary (trace importer) --------------------------------------

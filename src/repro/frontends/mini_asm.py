@@ -33,11 +33,12 @@ class MiniAsmFrontend(Frontend):
         return tuple(TEST_BENCHMARKS)
 
     def trace(
-        self, benchmark: str, max_instructions: int, seed: int | None = None
+        self, benchmark: str, max_instructions: int, seed: int | None = None,
+        memo: bool = True,
     ) -> Trace:
         from repro.workloads import get_trace
 
-        return get_trace(benchmark, max_instructions, seed=seed)
+        return get_trace(benchmark, max_instructions, seed=seed, memo=memo)
 
     def operation_id(self, mnemonic: str) -> int:
         from repro.isa.opcodes import opcode_id

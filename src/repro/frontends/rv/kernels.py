@@ -297,12 +297,16 @@ def build_program(name: str, reps: int, seed: int = 0) -> RvProgram:
     return BENCHMARKS[name].build(reps, seed)
 
 
-def get_trace(name: str, max_instructions: int, seed: int | None = None) -> Trace:
+def get_trace(
+    name: str, max_instructions: int, seed: int | None = None,
+    memo: bool = True,
+) -> Trace:
     """Memoized canonical trace of benchmark ``name``.
 
     ``reps`` is set to ``max_instructions`` so the outer loop always
     outlasts the cap — the cap, not loop exit, bounds the trace (the
-    mini-ASM ``trace_benchmark`` convention).
+    mini-ASM ``trace_benchmark`` convention).  ``memo=False`` reads the
+    memo but does not add a new trace to it.
     """
     seed = seed or 0
     key = (name, max_instructions, seed)
@@ -310,7 +314,8 @@ def get_trace(name: str, max_instructions: int, seed: int | None = None) -> Trac
     if trace is None:
         program = build_program(name, reps=max_instructions, seed=seed)
         trace = run_program(program, max_instructions=max_instructions, name=name)
-        _TRACE_CACHE[key] = trace
+        if memo:
+            _TRACE_CACHE[key] = trace
     return trace
 
 

@@ -513,9 +513,10 @@ class ImportedFrontend(Frontend):
         return list_imported()
 
     def trace(
-        self, benchmark: str, max_instructions: int, seed: int | None = None
+        self, benchmark: str, max_instructions: int, seed: int | None = None,
+        memo: bool = True,
     ) -> Trace:
-        trace = load_imported(benchmark)
+        trace = load_imported(benchmark)  # read from disk: there is no memo
         if max_instructions < len(trace):
             return trace.head(max_instructions)
         return trace

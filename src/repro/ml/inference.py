@@ -7,8 +7,8 @@ once.  :meth:`repro.core.perfvec.PerfVec.program_representations` and the
 serving layer run each batch through the foundation's ``infer``: the
 generic :meth:`repro.ml.layers.Module.infer` runs ``forward`` under
 :func:`repro.ml.autograd.no_grad`, so a recurrent foundation executes the
-same fused LSTM/GRU ops as training (:mod:`repro.ml.recurrent`) with no
-autograd node recorded.
+same fused LSTM/GRU step loop as training (:mod:`repro.ml.recurrent`)
+with no autograd node recorded and no gradient history kept.
 """
 
 from __future__ import annotations

@@ -110,7 +110,8 @@ class Module:
         The generic path wraps ndarray arguments in float32 Tensors (the
         engine's dtype), runs :meth:`forward` under ``no_grad()`` in eval
         mode and unwraps the result.  No node is recorded, so the LSTM/GRU
-        ops of :mod:`repro.ml.recurrent` run their forward pass only.
+        ops of :mod:`repro.ml.recurrent` run their forward pass only and
+        keep no history for backward.
         Element-wise layers (Linear, MLP, ReLU, ...) override this with
         the same NumPy expression on raw arrays.
         """

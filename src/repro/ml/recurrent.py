@@ -20,9 +20,16 @@ step's graph does not grow with the chunk length:
 Layers accept and return explicit hidden state, enabling the truncated-BPTT
 streaming that PerfVec training uses (each contiguous trace chunk continues
 from the detached final state of the previous chunk — the causal analogue
-of the paper's c-instruction context window).  Under
-:func:`~repro.ml.autograd.no_grad` the same ops run and record no node, so
-training, validation and serving (``Module.infer``) share one recurrence.
+of the paper's c-instruction context window).
+
+Training, validation and serving (``Module.infer``) share one step loop
+with two storage policies.  A pass that records a node keeps the history
+backward reads: every step's gates, cell state and ``tanh`` of it.  A
+pass that records none (under :func:`~repro.ml.autograd.no_grad`) keeps
+only the running ``(B, H)`` state, the ``(T, B, H)`` outputs and the
+input projection of one block of :data:`INFER_BLOCK` timesteps, computed
+by the same GEMM over fewer rows, so both passes give bit-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -30,8 +37,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.activations import sigmoid_scratch, stable_sigmoid_
-from repro.ml.autograd import Tensor, concat
+from repro.ml.autograd import Tensor, concat, grad_enabled
 from repro.ml.layers import Linear, Module
+
+#: Timesteps whose input projection a pass that records no node computes
+#: at once (a recorded pass projects the whole chunk).
+INFER_BLOCK = 8
 
 
 class LSTMCell(Module):
@@ -80,13 +91,44 @@ class GRUCell(Module):
         return (1.0 - z) * n + z * h
 
 
-def _input_gates(cell, x: Tensor, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Time-major inputs ``(T·B, F)`` and ``x@Wx + b`` for all steps as
-    ``(T, B, G·H)``, from one GEMM."""
-    batch, time, feat = x.shape
-    xs = np.ascontiguousarray(x.data.transpose(1, 0, 2), dtype=dtype)
-    xs = xs.reshape(time * batch, feat)
-    gates = (xs @ cell.xw.weight.data).reshape(time, batch, -1)
+def _records(x: Tensor, cell) -> bool:
+    """Whether the layer's result will be an autograd node (the test
+    :meth:`Tensor._result` applies)."""
+    params = (x, cell.xw.weight, cell.xw.bias, cell.hw.weight)
+    return grad_enabled() and any(p.requires_grad for p in params)
+
+
+def _blocks(time: int, record: bool) -> list[tuple[int, int]]:
+    """The ``[t0, t1)`` timestep ranges projected by one GEMM each.
+
+    A recorded pass keeps every step for backward: one block.  Otherwise
+    blocks are :data:`INFER_BLOCK` steps, and a shorter remainder joins
+    the block before it: at batch 1 a one-step block is a one-row GEMM,
+    which OpenBLAS routes to GEMV, and GEMV rounds differently.
+    """
+    if record or time <= INFER_BLOCK:
+        return [(0, time)]
+    bounds = list(range(0, time - INFER_BLOCK + 1, INFER_BLOCK)) + [time]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _slots(record: bool, steps: int, shape: tuple[int, ...],
+           dtype) -> np.ndarray:
+    """A per-step buffer: ``steps`` rows when backward will read them,
+    else one row that every step overwrites.  Row ``t % len(buffer)``
+    is step ``t``'s under both policies."""
+    return np.empty((steps if record else 1, *shape), dtype)
+
+
+def _input_gates(cell, x: Tensor, t0: int, t1: int,
+                 dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Time-major inputs ``(n·B, F)`` of steps ``t0 : t1`` and their
+    ``x@Wx + b`` as ``(n, B, G·H)``, from one GEMM."""
+    batch, _, feat = x.shape
+    steps = t1 - t0
+    xs = np.ascontiguousarray(x.data[:, t0:t1].transpose(1, 0, 2), dtype=dtype)
+    xs = xs.reshape(steps * batch, feat)
+    gates = (xs @ cell.xw.weight.data).reshape(steps, batch, -1)
     gates += cell.xw.bias.data
     return xs, gates
 
@@ -124,28 +166,36 @@ def lstm_layer(cell: LSTMCell, x: Tensor, h0: np.ndarray, c0: np.ndarray
     batch, time, _ = x.shape
     H = cell.hidden_size
     dtype = np.result_type(x.data, wx.data, bx.data, wh.data, h0, c0)
-    # gates[t]: pre-activations of step t, then its activations [i, f, g, o]
-    xs, gates = _input_gates(cell, x, dtype)
+    record = _records(x, cell)
     hs = np.empty((time + 1, batch, H), dtype)  # hs[t] is the state entering step t
-    cs = np.empty((time + 1, batch, H), dtype)
-    tanh_cs = np.empty((time, batch, H), dtype)
+    # cs[t % len(cs)] is the cell state entering step t, tanh_cs[t % ...]
+    # its tanh after step t
+    cs = _slots(record, time + 1, (batch, H), dtype)
+    tanh_cs = _slots(record, time, (batch, H), dtype)
     hs[0], cs[0] = h0, c0
     hz = np.empty((batch, 4 * H), dtype)
     tmp = np.empty((batch, H), dtype)
     e, mask = sigmoid_scratch((batch, 4 * H), dtype)
-    for t in range(time):
-        z = gates[t]
-        np.matmul(hs[t], wh.data, out=hz)
-        z += hz
-        i, f, g, o = z[:, :H], z[:, H : 2 * H], z[:, 2 * H : 3 * H], z[:, 3 * H :]
-        np.tanh(g, out=tmp)
-        stable_sigmoid_(z, e, mask)  # i, f and o; g is put back below
-        g[...] = tmp
-        np.multiply(f, cs[t], out=cs[t + 1])
-        np.multiply(i, g, out=tmp)
-        cs[t + 1] += tmp
-        np.tanh(cs[t + 1], out=tanh_cs[t])
-        np.multiply(o, tanh_cs[t], out=hs[t + 1])
+    for t0, t1 in _blocks(time, record):
+        # gates[t - t0]: pre-activations of step t, then its activations
+        # [i, f, g, o]; a recorded pass has one block, so these cover
+        # every step for backward
+        xs, gates = _input_gates(cell, x, t0, t1, dtype)
+        for t in range(t0, t1):
+            z = gates[t - t0]
+            c_in, c_out = cs[t % len(cs)], cs[(t + 1) % len(cs)]
+            tanh_c = tanh_cs[t % len(tanh_cs)]
+            np.matmul(hs[t], wh.data, out=hz)
+            z += hz
+            i, f, g, o = z[:, :H], z[:, H : 2 * H], z[:, 2 * H : 3 * H], z[:, 3 * H :]
+            np.tanh(g, out=tmp)
+            stable_sigmoid_(z, e, mask)  # i, f and o; g is put back below
+            g[...] = tmp
+            np.multiply(f, c_in, out=c_out)
+            np.multiply(i, g, out=tmp)
+            c_out += tmp
+            np.tanh(c_out, out=tanh_c)
+            np.multiply(o, tanh_c, out=hs[t + 1])
 
     def backward(grad: np.ndarray) -> None:
         dout = grad.transpose(1, 0, 2)
@@ -174,7 +224,7 @@ def lstm_layer(cell: LSTMCell, x: Tensor, h0: np.ndarray, c0: np.ndarray
         _layer_grads(cell, x, xs, hs, dz, dz)
 
     out = Tensor._result(hs[1:].transpose(1, 0, 2), (x, wx, bx, wh), backward)
-    return out, hs[time].copy(), cs[time].copy()
+    return out, hs[time].copy(), cs[-1].copy()
 
 
 def gru_layer(cell: GRUCell, x: Tensor, h0: np.ndarray) -> tuple[Tensor, np.ndarray]:
@@ -188,28 +238,32 @@ def gru_layer(cell: GRUCell, x: Tensor, h0: np.ndarray) -> tuple[Tensor, np.ndar
     batch, time, _ = x.shape
     H = cell.hidden_size
     dtype = np.result_type(x.data, wx.data, bx.data, wh.data, h0)
-    # gates[t]: input-side pre-activations of step t, then [r, z, n]
-    xs, gates = _input_gates(cell, x, dtype)
-    hzs = np.empty_like(gates)  # recurrent-side pre-activations h @ Wh
+    record = _records(x, cell)
+    # hzs[t % len(hzs)]: step t's recurrent-side pre-activations h @ Wh
+    hzs = _slots(record, time, (batch, 3 * H), dtype)
     hs = np.empty((time + 1, batch, H), dtype)  # hs[t] is the state entering step t
     hs[0] = h0
     tmp = np.empty((batch, H), dtype)
     e, mask = sigmoid_scratch((batch, 2 * H), dtype)
-    for t in range(time):
-        xz, hz = gates[t], hzs[t]
-        np.matmul(hs[t], wh.data, out=hz)
-        rz = xz[:, : 2 * H]
-        rz += hz[:, : 2 * H]
-        stable_sigmoid_(rz, e, mask)
-        r, z, n = xz[:, :H], xz[:, H : 2 * H], xz[:, 2 * H :]
-        np.multiply(r, hz[:, 2 * H :], out=tmp)
-        n += tmp
-        np.tanh(n, out=n)
-        # h_t = (1 - z) * n + z * h_{t-1}
-        np.subtract(1.0, z, out=tmp)
-        np.multiply(tmp, n, out=hs[t + 1])
-        np.multiply(z, hs[t], out=tmp)
-        hs[t + 1] += tmp
+    for t0, t1 in _blocks(time, record):
+        # gates[t - t0]: input-side pre-activations of step t, then
+        # [r, z, n]; a recorded pass has one block covering every step
+        xs, gates = _input_gates(cell, x, t0, t1, dtype)
+        for t in range(t0, t1):
+            xz, hz = gates[t - t0], hzs[t % len(hzs)]
+            np.matmul(hs[t], wh.data, out=hz)
+            rz = xz[:, : 2 * H]
+            rz += hz[:, : 2 * H]
+            stable_sigmoid_(rz, e, mask)
+            r, z, n = xz[:, :H], xz[:, H : 2 * H], xz[:, 2 * H :]
+            np.multiply(r, hz[:, 2 * H :], out=tmp)
+            n += tmp
+            np.tanh(n, out=n)
+            # h_t = (1 - z) * n + z * h_{t-1}
+            np.subtract(1.0, z, out=tmp)
+            np.multiply(tmp, n, out=hs[t + 1])
+            np.multiply(z, hs[t], out=tmp)
+            hs[t + 1] += tmp
 
     def backward(grad: np.ndarray) -> None:
         dout = grad.transpose(1, 0, 2)

@@ -161,8 +161,10 @@ class PerfVecModel(PerformanceModel):
         self.perfvec, self.history = train_foundation(dataset, config)
         return self
 
-    #: Engine batch size for serving (bigger than training's: inference
-    #: batches cost no gradient memory, so wider BLAS calls win).
+    #: Engine batch size for serving, bigger than training's: a no-grad
+    #: pass keeps no gradient history, only each layer's outputs and one
+    #: block of input projections (:mod:`repro.ml.recurrent`), so wider
+    #: BLAS calls win.
     infer_batch = 256
 
     def _predict_batch(

@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol
@@ -42,6 +42,7 @@ from typing import Callable, Protocol
 from repro import obs
 from repro.pipeline.artifacts import StageArtifactStore, stage_key
 from repro.pipeline.spec import ExperimentSpec, StageSpec
+from repro.runtime.pool import process_pool
 from repro.runtime.progress import NULL_PROGRESS
 
 #: Queue poll cadence for the coordinator loop (seconds).
@@ -305,8 +306,7 @@ class LocalBackend:
                     # script's or a test's), which spawned ones would not.
                     # Forked pools start every worker up front: no more
                     # than there are tasks left.
-                    pool = ProcessPoolExecutor(
-                        max_workers=min(plan.jobs, len(pending)))
+                    pool = process_pool(min(plan.jobs, len(pending)))
                 for task in ready[: plan.jobs - len(running)]:
                     pending.remove(task)
                     future = pool.submit(

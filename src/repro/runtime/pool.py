@@ -20,6 +20,9 @@ microarchitectures.  Design constraints:
 * **Chunking** — work items are submitted in contiguous chunks so that
   per-task IPC overhead amortizes and workers keep benchmark locality
   (consecutive jobs usually share a trace).
+* **One BLAS thread per worker** — :func:`process_pool`, which the
+  pipeline's local stage pool shares, pins each of two or more workers
+  to one BLAS thread, so concurrent workers do not oversubscribe CPUs.
 
 Job functions must be picklable top-level callables and must not depend on
 mutable global state: they may run in a fresh process.
@@ -68,6 +71,26 @@ class JobError(RuntimeError):
         super().__init__(
             f"job {index} ({item!r}) failed in worker:\n{worker_traceback}"
         )
+
+
+def _one_blas_thread() -> None:
+    """Pool worker initializer: one BLAS thread per concurrent worker."""
+    from repro.ml.allocator import set_blas_threads
+
+    set_blas_threads(1)
+
+
+def process_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool of ``workers`` at the default start method.
+
+    With two or more workers each one runs BLAS on one thread
+    (:func:`repro.ml.allocator.set_blas_threads`); a lone worker keeps
+    the library default, as ``jobs=1`` processes do.
+    """
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_one_blas_thread if workers > 1 else None,
+    )
 
 
 def _run_chunk(
@@ -185,7 +208,7 @@ class ParallelMap:
         ready: dict[int, JobResult] = {}
         next_index = 0
         chunks = _chunked(pairs, self.jobs, self.chunksize)
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+        with process_pool(self.jobs) as pool:
             pending = {pool.submit(_run_chunk, fn, chunk) for chunk in chunks}
             try:
                 while pending:

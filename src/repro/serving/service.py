@@ -20,7 +20,8 @@ provides:
   each group runs through one ``predict_batch`` call on the model.  A
   miss reads its encoded ``[n, 51]`` stream from the on-disk
   content-addressed feature cache for that one engine pass and keeps
-  no reference to it: the answer row is what the service holds.
+  no reference to it, nor to the trace a feature-cache miss encodes:
+  the answer row is what the service holds.
 
 The service is synchronous and owns no threads.  Queueing and
 micro-batching of concurrent traffic belong to the
@@ -228,7 +229,9 @@ class PredictionService:
         Loaded from the on-disk feature cache with ``memo=False`` and
         not kept: only answer-memo misses call this, and the answer row
         they produce is what the service holds, so the stream is freed
-        once its engine pass is done.
+        once its engine pass is done.  A feature-cache miss traces the
+        program outside the frontend's trace memo, so its trace is freed
+        once encoded.
         """
         with obs.span("service.feature_load", benchmark=benchmark):
             return self.session.features(benchmark, memo=False)

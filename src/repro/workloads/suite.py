@@ -168,13 +168,20 @@ def trace_benchmark(
     return run_program(program, max_instructions=max_instructions, name=name)
 
 
-def get_trace(name: str, max_instructions: int, seed: int | None = None) -> Trace:
-    """Memoized :func:`trace_benchmark` (traces are immutable)."""
+def get_trace(
+    name: str, max_instructions: int, seed: int | None = None,
+    memo: bool = True,
+) -> Trace:
+    """Memoized :func:`trace_benchmark` (traces are immutable).
+
+    ``memo=False`` reads the memo but does not add a new trace to it.
+    """
     key = (name, max_instructions, seed)
     trace = _TRACE_CACHE.get(key)
     if trace is None:
         trace = trace_benchmark(name, max_instructions, seed=seed)
-        _TRACE_CACHE[key] = trace
+        if memo:
+            _TRACE_CACHE[key] = trace
     return trace
 
 

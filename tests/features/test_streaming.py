@@ -29,7 +29,7 @@ def test_stack_distance_stream_matches_batch():
     rng = np.random.default_rng(0)
     keys = rng.integers(0, 50, size=500)
     whole = stack_distances(keys)
-    stream = StackDistanceStream(capacity=8)  # force capacity doubling
+    stream = StackDistanceStream()
     chunked = np.concatenate(
         [stream.push(keys[i : i + 37]) for i in range(0, len(keys), 37)]
     )

@@ -1,12 +1,15 @@
 """Parity suite: the no-grad inference engine vs the training forward.
 
-Inference-mode outputs match the training-mode (autograd) forward within
-1e-6 for every foundation architecture, the MLP and the full PerfVec
-predictor.  The LSTM/GRU ops themselves are checked against the per-step
-cell reference in ``test_recurrent.py``, with autograd on and off.  Every
-test runs under both old settings of the retired ``REPRO_JIT`` switch
-(the ``retired_jit_switch`` fixture), which must change nothing.
+Inference-mode outputs match the training-mode (autograd) forward bit
+for bit for every foundation architecture, and within 1e-6 for the MLP
+and the full PerfVec predictor.  The LSTM/GRU ops themselves are checked
+against the per-step cell reference in ``test_recurrent.py``, with
+autograd on and off.  Every test runs under both old settings of the
+retired ``REPRO_JIT`` switch (the ``retired_jit_switch`` fixture), which
+must change nothing.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +17,10 @@ import pytest
 from repro.core.foundation import make_foundation
 from repro.core.perfvec import PerfVec
 from repro.core.predictor import MicroarchTable
+from repro.features.encoder import NUM_FEATURES
 from repro.ml import LSTM, MLP, Linear, Tensor
 from repro.ml.inference import iter_chunk_batches
+from repro.ml.recurrent import INFER_BLOCK
 
 ATOL = 1e-6
 RNG = np.random.default_rng(11)
@@ -54,15 +59,34 @@ def test_mlp_infer_matches_forward():
     _assert_close(mlp(Tensor(flat)).data, mlp.infer(flat))
 
 
-@pytest.mark.parametrize(
-    "spec", ["linear-1-8", "mlp-2-8", "gru-1-8", "lstm-2-8", "bilstm-1-8",
-             "transformer-1-8"]
-)
-def test_foundation_infer_matches_forward(spec):
+def _inputs(batch: int, time: int) -> np.ndarray:
+    """``(batch, time, 9)`` inputs; ``_inputs(3, 17)`` equals ``X``."""
+    data = np.random.default_rng(11).normal(size=(batch, time, 9))
+    return data.astype(np.float32)
+
+
+#: ``(spec, batch, time)``: every architecture at ``X``'s shape, then the
+#: recurrent ones at the bench width over shapes that cross the no-grad
+#: pass's projection blocks: batch 1 one step past a block (that step
+#: must join the block before it) and a 50-step chunk.
+FOUNDATION_CASES = [
+    pytest.param(spec, 3, 17, id=spec)
+    for spec in ("linear-1-8", "mlp-2-8", "gru-1-8", "lstm-2-8", "bilstm-1-8",
+                 "transformer-1-8", "lstm-2-64")
+] + [
+    pytest.param(spec, batch, time, id=f"{spec}-b{batch}-t{time}")
+    for spec in ("lstm-2-64", "bilstm-1-64", "gru-2-64")
+    for batch, time in ((1, INFER_BLOCK + 1), (1, 2 * INFER_BLOCK + 1), (3, 50))
+]
+
+
+@pytest.mark.parametrize("spec, batch, time", FOUNDATION_CASES)
+def test_foundation_infer_matches_forward(spec, batch, time):
+    x = _inputs(batch, time)
     foundation = make_foundation(spec, input_size=9, seed=5)
-    out_t, _ = foundation(Tensor(X))
-    out_i, _ = foundation.infer(X)
-    _assert_close(out_t.data, out_i)
+    out_t, _ = foundation(Tensor(x))
+    out_i, _ = foundation.infer(x)
+    np.testing.assert_array_equal(out_i, out_t.data)
 
 
 def test_perfvec_infer_matches_forward():
@@ -138,3 +162,30 @@ def test_multi_stream_engine_matches_per_stream():
     for s, stream in enumerate(streams):
         alone = model.program_representation(stream, chunk_len=32)
         np.testing.assert_allclose(together[s], alone, atol=ATOL)
+
+
+# ---------------------------------------------------------------------------
+# engine memory
+# ---------------------------------------------------------------------------
+#: Traced-allocation bound of one bench-shape engine pass (below).
+ENGINE_PASS_PEAK_BYTES = 8 * 2**20
+
+
+def test_engine_pass_keeps_no_gradient_history():
+    """One ``program_representations`` pass at the bench shape
+    (``lstm-2-64``, chunk 48, serving batch 256, a 6,000-row stream: one
+    batch of 125 chunks) stays under 8 MiB of traced allocations.  It
+    peaks at 6.7 MiB holding each layer's outputs and one block of input
+    projections; keeping every step's gates and cell state, as a pass
+    that records a node does, takes 13.6 MiB."""
+    foundation = make_foundation("lstm-2-64", seed=0)
+    table = MicroarchTable(4, foundation.dim, rng=np.random.default_rng(1))
+    model = PerfVec(foundation, table)
+    stream = RNG.normal(size=(6000, NUM_FEATURES)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        model.program_representations([stream], chunk_len=48, batch_size=256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ENGINE_PASS_PEAK_BYTES

@@ -1,10 +1,12 @@
 """Unit tests for the parallel execution layer."""
 
+import ctypes
 import io
 import os
 
 import pytest
 
+from repro.ml.allocator import openblas_symbol
 from repro.runtime import (
     JobError,
     ParallelMap,
@@ -27,6 +29,19 @@ def _fail_on_three(x):
 
 def _worker_pid(_x):
     return os.getpid()
+
+
+def _blas_threads(_x=None):
+    """The loaded OpenBLAS's thread count (None without one)."""
+    getter = openblas_symbol((
+        "openblas_get_num_threads",
+        "openblas_get_num_threads64_",
+        "scipy_openblas_get_num_threads64_",
+    ))
+    if getter is None:
+        return None
+    getter.argtypes, getter.restype = (), ctypes.c_int
+    return getter()
 
 
 def test_resolve_jobs():
@@ -102,3 +117,11 @@ def test_progress_reports_failures():
     lines = stream.getvalue().splitlines()
     assert "FAILED" in lines[0]
     assert "FAILED" not in lines[1]  # later jobs still run and report
+
+
+def test_parallel_workers_run_one_blas_thread():
+    default = _blas_threads()
+    if default is None:
+        pytest.skip("no OpenBLAS loaded")
+    assert ParallelMap(jobs=2).map(_blas_threads, range(4)) == [1] * 4
+    assert _blas_threads() == default  # the parent keeps the library default

@@ -5,6 +5,8 @@ with ``workers=0`` is the in-process server ``repro serve`` runs.
 """
 
 import gc
+import os
+import shutil
 import sys
 import time
 import weakref
@@ -15,10 +17,12 @@ import pytest
 
 from repro.api import Session
 from repro.core.errors import PredictionError, UnknownBenchmarkError
+from repro.features.feature_cache import feature_cache_dir
 from repro.models import StoreError
 from repro.obs.metrics import REGISTRY
 from repro.serving import PredictionCluster, PredictionService, ServeRequest
 from repro.serving.service import _LRU, error_reply
+from repro.workloads import suite
 
 SPEC = dict(arch="lstm-1-8", chunk_len=16, batch_size=8, epochs=1)
 BENCHMARKS = ("999.specrand", "505.mcf")
@@ -239,6 +243,21 @@ def test_served_streams_are_not_kept(service, session, monkeypatch):
     assert [name for name, ref in streams.items() if ref() is not None] == []
     assert session._features == {}  # memo=False path
     assert entries("answer") == len(BENCHMARKS)
+
+
+def test_served_misses_leave_the_trace_memo_empty(session):
+    # a feature-cache miss traces its program for one encode and keeps
+    # the trace out of the frontend's process-wide memo, which dataset
+    # builds share (the fixture's training filled it with these programs)
+    features = feature_cache_dir(session.cache_dir)
+    shutil.rmtree(features, ignore_errors=True)
+    session._features.clear()
+    suite.clear_trace_cache()
+    service = PredictionService(session=session)
+    for name in BENCHMARKS:
+        service.predict(ServeRequest(benchmark=name))
+    assert len(os.listdir(features)) == len(BENCHMARKS)  # every one missed
+    assert suite._TRACE_CACHE == {}
 
 
 def test_unknown_artifact_raises_store_error(service):
