@@ -5,10 +5,7 @@ Measures the :mod:`repro.frontends` paths end to end:
 * **generate** — RV frontend trace production (assemble + interpret +
   canonical trace emission), rows/sec per kernel;
 * **ingest** — :func:`repro.frontends.trace_import.parse_trace` over the
-  documented JSONL and CSV schemas, plain and gzipped, in both
-  **streaming** (constant-memory line iterator) and **whole-file**
-  modes — the numbers show what the streaming default costs (or saves)
-  against slurping;
+  documented JSONL and CSV schemas, plain and gzipped;
 * **import** — the full :func:`import_trace` path: cold (parse +
   atomic npz publish + manifest) vs warm (source-digest cache hit, no
   parsing at all).
@@ -80,7 +77,7 @@ def bench_frontend(rows: int = 50_000, repeats: int = 3) -> dict:
     trace = rv.trace("rv.crc", rows)
     work = tempfile.mkdtemp(prefix="bench_frontend_")
     try:
-        # -- ingestion: schema parse rates, streaming vs whole-file -------
+        # -- ingestion: schema parse rates --------------------------------
         files = {}
         for fmt in ("jsonl", "csv"):
             path = os.path.join(work, f"trace.{fmt}")
@@ -89,21 +86,12 @@ def bench_frontend(rows: int = 50_000, repeats: int = 3) -> dict:
             files[f"{fmt}.gz"] = _gzip_copy(path)
         ingest = {}
         for label, path in files.items():
-            entry = {"bytes": os.path.getsize(path)}
-            for mode, streaming in (("streaming", True),
-                                    ("whole_file", False)):
-                seconds = _time(
-                    lambda p=path, s=streaming: parse_trace(p, streaming=s),
-                    repeats,
-                )
-                entry[mode] = {
-                    "seconds": seconds,
-                    "rows_per_s": len(trace) / seconds,
-                }
-            entry["streaming_vs_whole_file"] = (
-                entry["whole_file"]["seconds"] / entry["streaming"]["seconds"]
-            )
-            ingest[label] = entry
+            seconds = _time(lambda p=path: parse_trace(p), repeats)
+            ingest[label] = {
+                "bytes": os.path.getsize(path),
+                "seconds": seconds,
+                "rows_per_s": len(trace) / seconds,
+            }
 
         # -- full import path: cold publish vs content-addressed hit ------
         cache = os.path.join(work, "cache")
@@ -160,9 +148,7 @@ def main(argv=None) -> int:
     for name, row in report["generate"].items():
         print(f"generate {name:<12s} {row['rows_per_s']:>12,.0f} rows/s")
     for label, row in sorted(report["ingest"].items()):
-        s, w = row["streaming"], row["whole_file"]
-        print(f"ingest {label:<9s} streaming {s['rows_per_s']:>10,.0f} rows/s"
-              f"  whole-file {w['rows_per_s']:>10,.0f} rows/s"
+        print(f"ingest {label:<9s} {row['rows_per_s']:>10,.0f} rows/s"
               f"  ({row['bytes']:,} bytes)")
     imports = report["import"]
     print(f"import cold {1e3 * imports['cold_seconds']:.1f} ms, "

@@ -1,7 +1,8 @@
-"""Cache-location resolution.
+"""Where every on-disk cache lives, and how its files are written and read.
 
-Every on-disk cache (dataset npz files, stored model artifacts) lives
-under one *cache root*, resolved per call in priority order:
+Every on-disk cache (datasets, feature streams, model artifacts, stage
+records, the sweep queue, imported traces) lives under one *cache root*,
+resolved per call in priority order:
 
 1. an explicit ``cache_dir``/``root`` argument (CLI ``--cache-dir``);
 2. the ``REPRO_CACHE_DIR`` environment variable;
@@ -10,11 +11,29 @@ under one *cache root*, resolved per call in priority order:
 Resolution happens at call time, not import time, so tests and the CLI
 can redirect every cache by setting the environment variable (or passing
 ``--cache-dir``, which does exactly that) without reimporting anything.
+
+Every file a store keeps under the root or the results dir is written
+with :func:`publish`, read with :func:`read_json` / :func:`read_npz`, and its
+killed writers' tmp files are deleted by :func:`reap_tmp`.  A reader sees
+the old file or the new one, never a torn one.  There is no ``fsync``:
+every file here can be rebuilt from its inputs, so a crash may cost a
+recompute but never serves a torn file.
 """
 
 from __future__ import annotations
 
+import json
+import logging
 import os
+import time
+import uuid
+import zipfile
+import zlib
+from typing import IO, Any, Callable
+
+import numpy as np
+
+log = logging.getLogger(__name__)
 
 #: Fallback cache root when ``REPRO_CACHE_DIR`` is unset.
 DEFAULT_CACHE_ROOT = ".repro_cache"
@@ -24,6 +43,10 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Environment variable that overrides where result JSON files land.
 RESULTS_DIR_ENV = "REPRO_RESULTS_DIR"
+
+#: A ``.tmp`` file older than this belongs to no live writer (live
+#: writers hold theirs for milliseconds), so :func:`reap_tmp` deletes it.
+STALE_TMP_SECONDS = 600.0
 
 
 def cache_root(override: str | None = None) -> str:
@@ -109,3 +132,94 @@ def set_results_dir(path: str | None) -> None:
     """
     if path:
         os.environ[RESULTS_DIR_ENV] = path
+
+
+# ---------------------------------------------------------------------------
+# the file contract
+# ---------------------------------------------------------------------------
+def publish(path: str, write: Callable[[IO[bytes]], Any]) -> str:
+    """Replace ``path`` whole with what ``write`` puts in a binary file.
+
+    ``write`` fills a unique sibling ``<path>.<pid>.<8 hex>.tmp``, which
+    ``os.replace`` then renames over ``path``; if ``write`` raises, the
+    tmp file is removed and ``path`` is left as it was.  Returns ``path``.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
+    return path
+
+
+def _corrupt(path: str, reason: Exception) -> tuple[None, str]:
+    log.warning("corrupt cache file %s (%r)", path, reason)
+    return None, "corrupt"
+
+
+def read_json(path: str) -> tuple[dict | None, str]:
+    """``(object, outcome)`` for the JSON object at ``path``.
+
+    The outcome is ``"hit"``, ``"miss"`` (no file; the value is None) or
+    ``"corrupt"`` (present but not a whole JSON object; logged, and the
+    value is None).
+    """
+    try:
+        with open(path, "rb") as fh:
+            value = json.load(fh)
+    except FileNotFoundError:
+        return None, "miss"
+    except (OSError, ValueError) as exc:  # ValueError: torn JSON, bad UTF-8
+        return _corrupt(path, exc)
+    if not isinstance(value, dict):
+        return _corrupt(path, ValueError("not a JSON object"))
+    return value, "hit"
+
+
+def read_npz(path: str, *keys: str) -> tuple[tuple[np.ndarray, ...] | None, str]:
+    """``(arrays, outcome)``: the ``keys`` arrays of the npz at ``path``.
+
+    Outcomes as for :func:`read_json`; a torn archive, an empty file or a
+    missing key is ``"corrupt"``.
+    """
+    try:
+        with np.load(path) as data:
+            return tuple(data[key] for key in keys), "hit"
+    except FileNotFoundError:
+        return None, "miss"
+    except (OSError, ValueError, KeyError, EOFError,  # EOFError: empty file
+            zipfile.BadZipFile, zlib.error) as exc:
+        return _corrupt(path, exc)
+
+
+def reap_tmp(directory: str) -> int:
+    """Delete the stale ``.tmp`` files in ``directory``; returns how many.
+
+    A writer killed between its write and its rename leaves its tmp file
+    behind.  One older than :data:`STALE_TMP_SECONDS` cannot belong to a
+    live writer; a fresher one may be mid-publish and is kept.
+    """
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return 0
+    now = time.time()
+    reaped = 0
+    for name in names:
+        if not name.endswith(".tmp"):
+            continue
+        path = os.path.join(directory, name)
+        try:
+            if now - os.stat(path).st_mtime > STALE_TMP_SECONDS:
+                os.remove(path)
+                reaped += 1
+        except OSError:
+            continue  # vanished under us: another reaper won
+    return reaped

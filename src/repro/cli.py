@@ -283,8 +283,7 @@ def _cmd_trace(args) -> int:
         return 2
     try:
         result = import_trace(
-            args.path, name=args.name, isa=args.isa, fmt=args.format,
-            streaming=not args.whole_file,
+            args.path, name=args.name, isa=args.isa, fmt=args.format
         )
     except (TraceImportError, UnknownExperimentError) as exc:
         print(f"error: {exc}")
@@ -649,10 +648,6 @@ def main(argv: list[str] | None = None) -> int:
     p_trace.add_argument(
         "--out", default=None, metavar="FILE",
         help="output path (export action)",
-    )
-    p_trace.add_argument(
-        "--whole-file", action="store_true",
-        help="parse the whole file in memory instead of streaming",
     )
     p_trace.add_argument("--scale", default="bench",
                          help="trace length for export (scale preset)")

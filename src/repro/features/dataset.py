@@ -33,8 +33,10 @@ Caching is two-level, both under ``cache_dir``:
   every column of a benchmark lands.  Being transient, shards are written
   uncompressed; the long-lived merged entry is compressed.
 
-An unreadable entry of either kind (a torn write, bit rot) is logged and
-recomputed, and the rewrite repairs it.
+Both kinds are published and read through :mod:`repro.cache`.  An
+unreadable entry of either kind (bit rot, a truncated copy) is recomputed,
+and the rewrite repairs it; a build reaps the tmp files a killed earlier
+build left in both directories before it starts.
 
 Each simulation job times the trace its frontend memoized, so a serial
 build runs a benchmark's k simulations back to back on one trace object,
@@ -44,15 +46,13 @@ and :mod:`repro.sim.cpu` decodes that trace once for all k.
 from __future__ import annotations
 
 import hashlib
-import logging
 import os
-import zipfile
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from repro.cache import dataset_cache_dir
+from repro.cache import dataset_cache_dir, publish, read_npz, reap_tmp
 from repro.features.encoder import NUM_FEATURES, encode_trace
 from repro.frontends import DEFAULT_FRONTEND, get_frontend
 from repro.runtime import ParallelMap, ProgressReporter
@@ -62,8 +62,6 @@ from repro.uarch.config import MicroarchConfig
 #: Default ``cache_dir`` sentinel: resolve ``REPRO_CACHE_DIR`` (or
 #: ``.repro_cache/``) at call time via :mod:`repro.cache`.
 DEFAULT_CACHE_DIR = "auto"
-
-log = logging.getLogger(__name__)
 
 
 def _resolve_cache_dir(cache_dir: str | None) -> str | None:
@@ -178,28 +176,6 @@ def _shard_path(
     )
 
 
-def _atomic_savez(path: str, compress: bool, **arrays: np.ndarray) -> None:
-    """Write an npz atomically so concurrent builders never see partial files."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp.npz"
-    (np.savez_compressed if compress else np.savez)(tmp, **arrays)
-    os.replace(tmp, path)
-
-
-def _load_npz(path: str, *keys: str) -> tuple[np.ndarray, ...] | None:
-    """The ``keys`` arrays of the npz at ``path``; None when it is absent
-    or unreadable, so the caller recomputes (and rewrites) it."""
-    try:
-        with np.load(path) as data:
-            return tuple(data[key] for key in keys)
-    except FileNotFoundError:
-        return None  # never written, or a concurrent builder removed it
-    except (OSError, ValueError, KeyError, EOFError,
-            zipfile.BadZipFile) as exc:  # EOFError: an empty file
-        log.warning("corrupt dataset cache entry %s (%s): recomputing", path, exc)
-        return None
-
-
 @dataclass(frozen=True)
 class _SimJob:
     """One pool work item: encode features or simulate one config.
@@ -237,7 +213,7 @@ def _run_sim_job(job: _SimJob) -> np.ndarray:
     else:
         data = CPUSimulator(job.config).run(trace).incremental_latencies
     if job.shard_path:
-        _atomic_savez(job.shard_path, compress=False, data=data)
+        publish(job.shard_path, lambda fh: np.savez(fh, data=data))
     return data
 
 
@@ -286,7 +262,9 @@ def _job_outputs(
         if job in pooled:
             yield next(results)
             continue
-        loaded = _load_npz(job.shard_path, "data") if job.shard_path else None
+        # absent (never written, or a concurrent builder removed it) or
+        # unreadable: run it here
+        loaded = read_npz(job.shard_path, "data")[0] if job.shard_path else None
         yield loaded[0] if loaded is not None else _run_sim_job(job)
 
 
@@ -295,7 +273,7 @@ def _load_rows(
 ) -> int | None:
     """Load a merged entry into the head rows of ``features``/``targets``;
     returns its row count, or None when the entry is absent or unreadable."""
-    loaded = _load_npz(path, "features", "targets")
+    loaded, _ = read_npz(path, "features", "targets")
     if loaded is None:
         return None
     rows = len(loaded[0])
@@ -342,6 +320,9 @@ def build_dataset(
     if len(set(names)) != len(names):
         raise ValueError("config names must be unique")
     cache_dir = _resolve_cache_dir(cache_dir)
+    if cache_dir:
+        reap_tmp(cache_dir)
+        reap_tmp(os.path.join(cache_dir, "shards"))
     digest = _config_digest(configs)
     entries = {
         name: cache_dir and _cache_path(
@@ -402,12 +383,11 @@ def build_dataset(
                 )
                 computed = True
                 if cache_dir:
-                    _atomic_savez(
-                        path, compress=True,
-                        features=features[cursor:cursor + rows],
+                    publish(path, lambda fh: np.savez_compressed(
+                        fh, features=features[cursor:cursor + rows],
                         targets=targets[cursor:cursor + rows],
-                    )
-                    # Shards only go once the merged entry is durable, so
+                    ))
+                    # Shards only go once the merged entry is published, so
                     # a crash in between never loses resume state.
                     for job in bench_jobs:
                         try:

@@ -10,8 +10,8 @@ Table I encoding changes.
 
 Encoding streams through :func:`repro.features.encoder.iter_encoded_chunks`
 so long traces never hold more than one chunk of intermediate state, and
-files are written atomically (:func:`repro.ml.serialize.save_arrays`), so
-concurrent servers can share one cache directory.
+entries are published and read through :mod:`repro.cache`, so concurrent
+servers can share one cache directory.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ import hashlib
 import json
 import logging
 import os
-import zipfile
 
 import numpy as np
 
-from repro.cache import cache_root
+from repro.cache import cache_root, read_npz
 from repro.features.encoder import NUM_FEATURES, iter_encoded_chunks
 from repro.frontends import DEFAULT_FRONTEND
 from repro.obs.metrics import REGISTRY
@@ -111,26 +110,14 @@ def encoded_features(
     path = None
     if cache_dir:
         path = _cache_path(cache_dir, benchmark, max_instructions, seed, isa)
-        if os.path.exists(path):
-            # a torn write, an empty file (np.load raises EOFError) or
-            # bit rot must not take prediction down:
-            # count + log the corruption, fall through, and recompute
-            # (the rewrite below repairs the cache entry)
-            try:
-                with np.load(path) as data:
-                    features = data["features"]
-            except (OSError, ValueError, KeyError, EOFError,
-                    zipfile.BadZipFile) as exc:
-                _count("corrupt")
-                log.warning(
-                    "corrupt feature cache entry %s (%s): recomputing",
-                    path, exc,
-                )
-            else:
-                _count("hit")
-                return features
-        else:
-            _count("miss")
+        loaded, outcome = read_npz(path, "features")
+        _count(outcome)
+        if loaded is not None:
+            return loaded[0]
+        if outcome == "corrupt":
+            # a corrupt entry must not take prediction down: recompute,
+            # and the rewrite below repairs it
+            log.warning("corrupt feature cache entry %s: recomputing", path)
     trace = get_frontend(isa).trace(
         benchmark, max_instructions, seed=seed, memo=memo
     )

@@ -39,8 +39,9 @@ rendering ``path:line: message``; the file is parsed *completely* before
 anything is written, so a failed import never leaves a cache artifact.
 
 Published artifacts live under ``<cache>/imported/<name>/`` as
-``trace.npz`` plus a ``manifest.json`` recording the source digest —
-re-importing an unchanged file is a cache hit and changes nothing.
+``trace.npz`` plus a ``manifest.json`` recording the source digest, both
+published and read through :mod:`repro.cache` — re-importing an
+unchanged file is a cache hit and changes nothing.
 """
 
 from __future__ import annotations
@@ -51,14 +52,13 @@ import hashlib
 import io
 import json
 import os
-import tempfile
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.cache import imported_trace_dir
+from repro.cache import imported_trace_dir, publish, read_json, read_npz
 from repro.core.errors import UnknownExperimentError
 from repro.isa.instructions import MAX_DST_SLOTS, MAX_SRC_SLOTS
 from repro.isa.opcodes import NUM_OPCODES, OPCODE_BY_ID
@@ -69,6 +69,10 @@ from repro.vm.trace import Trace, TraceBuilder
 SCHEMA_VERSION = 1
 
 _CSV_FIELDS = ("pc", "op", "srcs", "dsts", "addr", "taken", "target", "fault")
+
+#: The :class:`Trace` arrays a published ``trace.npz`` holds, in order.
+_TRACE_ARRAYS = ("pc", "opid", "src_slots", "dst_slots", "mem_addr",
+                 "branch_taken", "branch_target", "fault")
 
 
 class TraceImportError(ValueError):
@@ -283,14 +287,9 @@ def parse_trace(
     isa: str = "mini-asm",
     name: str | None = None,
     fmt: str | None = None,
-    streaming: bool = True,
 ) -> Trace:
-    """Parse an external trace file into a canonical :class:`Trace`.
-
-    ``streaming=False`` reads the whole file into memory before parsing
-    (measured against streaming by ``benchmarks/bench_frontend.py``);
-    both modes produce identical traces.
-    """
+    """Parse an external trace file into a canonical :class:`Trace`,
+    one line at a time."""
     from repro.frontends import get_frontend
 
     frontend = get_frontend(isa)
@@ -304,11 +303,10 @@ def parse_trace(
     builder = TraceBuilder(name or _default_name(path))
     try:
         with _open_text(path) as handle:
-            lines: Iterable[str] = handle if streaming else handle.read().splitlines()
             records = (
-                _jsonl_records(lines, path)
+                _jsonl_records(handle, path)
                 if fmt == "jsonl"
-                else _csv_records(lines, path)
+                else _csv_records(handle, path)
             )
             for lineno, record in records:
                 _append_record(builder, record, frontend, path, lineno)
@@ -372,7 +370,6 @@ def import_trace(
     isa: str = "mini-asm",
     cache_dir: str | None = None,
     fmt: str | None = None,
-    streaming: bool = True,
 ) -> ImportResult:
     """Validate, parse and publish an external trace under the cache.
 
@@ -387,7 +384,7 @@ def import_trace(
     artifact_dir = os.path.join(root, name)
     digest = _file_digest(path)
 
-    manifest = _read_manifest(artifact_dir)
+    manifest, _ = read_json(_manifest_path(artifact_dir))
     if (
         manifest is not None
         and manifest.get("source_digest") == digest
@@ -398,23 +395,12 @@ def import_trace(
             name, artifact_dir, int(manifest["rows"]), digest, isa, cache_hit=True
         )
 
-    trace = parse_trace(path, isa=isa, name=name, fmt=fmt, streaming=streaming)
+    trace = parse_trace(path, isa=isa, name=name, fmt=fmt)
 
-    os.makedirs(artifact_dir, exist_ok=True)
-    _atomic_write(
+    arrays = {key: getattr(trace, key) for key in _TRACE_ARRAYS}
+    publish(
         os.path.join(artifact_dir, "trace.npz"),
-        lambda fh: np.savez_compressed(
-            fh,
-            pc=trace.pc,
-            opid=trace.opid,
-            src_slots=trace.src_slots,
-            dst_slots=trace.dst_slots,
-            mem_addr=trace.mem_addr,
-            branch_taken=trace.branch_taken,
-            branch_target=trace.branch_target,
-            fault=trace.fault,
-        ),
-        binary=True,
+        lambda fh: np.savez_compressed(fh, **arrays),
     )
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -425,33 +411,9 @@ def import_trace(
         "source_digest": digest,
     }
     # manifest last: its presence is what marks the artifact published
-    _atomic_write(
-        _manifest_path(artifact_dir),
-        lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True)),
-    )
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    publish(_manifest_path(artifact_dir), lambda fh: fh.write(text.encode()))
     return ImportResult(name, artifact_dir, len(trace), digest, isa, cache_hit=False)
-
-
-def _atomic_write(path: str, writer, binary: bool = False) -> None:
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path), prefix=os.path.basename(path) + ".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb" if binary else "w") as handle:
-            writer(handle)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _read_manifest(artifact_dir: str) -> dict | None:
-    try:
-        with open(_manifest_path(artifact_dir), "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (FileNotFoundError, json.JSONDecodeError):
-        return None
 
 
 def list_imported(cache_dir: str | None = None) -> tuple[str, ...]:
@@ -462,7 +424,7 @@ def list_imported(cache_dir: str | None = None) -> tuple[str, ...]:
     names = [
         entry
         for entry in os.listdir(root)
-        if _read_manifest(os.path.join(root, entry)) is not None
+        if read_json(_manifest_path(os.path.join(root, entry)))[0] is not None
     ]
     return tuple(sorted(names))
 
@@ -470,23 +432,16 @@ def list_imported(cache_dir: str | None = None) -> tuple[str, ...]:
 def load_imported(name: str, cache_dir: str | None = None) -> Trace:
     """Load a published imported trace by name."""
     root = imported_trace_dir(cache_dir)
-    manifest = _read_manifest(os.path.join(root, name))
+    manifest, _ = read_json(_manifest_path(os.path.join(root, name)))
     if manifest is None:
         raise UnknownExperimentError(
             name, list_imported(cache_dir), kind="imported trace"
         )
-    with np.load(os.path.join(root, name, "trace.npz")) as data:
-        return Trace(
-            name=name,
-            pc=data["pc"],
-            opid=data["opid"],
-            src_slots=data["src_slots"],
-            dst_slots=data["dst_slots"],
-            mem_addr=data["mem_addr"],
-            branch_taken=data["branch_taken"],
-            branch_target=data["branch_target"],
-            fault=data["fault"],
-        )
+    path = os.path.join(root, name, "trace.npz")
+    arrays, outcome = read_npz(path, *_TRACE_ARRAYS)
+    if arrays is None:
+        raise TraceImportError(f"published trace is {outcome}: re-import it", path)
+    return Trace(name, *arrays)
 
 
 # ---------------------------------------------------------------------------

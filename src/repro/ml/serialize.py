@@ -1,8 +1,7 @@
 """Model state persistence (npz) with an optional zero-copy mmap path.
 
-All writes are atomic (tmp file + rename), so an interrupted save can
-never leave a truncated artifact behind — readers either see the old
-complete file or the new complete file.
+:func:`save_arrays` publishes through :func:`repro.cache.publish`, so an
+interrupted save never leaves a truncated artifact behind.
 
 :func:`load_arrays` has two modes:
 
@@ -39,6 +38,7 @@ import shutil
 
 import numpy as np
 
+from repro.cache import publish, read_json
 from repro.ml.layers import Module
 
 #: Sidecar directory suffix for the mmap extraction of an npz file.
@@ -50,22 +50,14 @@ MMAP_INDEX = "index.json"
 
 
 def save_arrays(path: str, arrays: dict[str, np.ndarray]) -> str:
-    """Atomically write named arrays to ``path`` (npz); returns the path.
+    """Publish named arrays to ``path`` (compressed npz); returns the path.
 
     Mirrors ``np.savez_compressed``'s naming: a ``.npz`` suffix is added
     when missing.
     """
     if not path.endswith(".npz"):
         path = f"{path}.npz"
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp.npz"
-    try:
-        np.savez_compressed(tmp, **arrays)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-    return path
+    return publish(path, lambda fh: np.savez_compressed(fh, **arrays))
 
 
 def _source_identity(path: str) -> dict:
@@ -75,12 +67,8 @@ def _source_identity(path: str) -> dict:
 
 def _sidecar_valid(sidecar: str, identity: dict) -> dict | None:
     """The sidecar's index when it matches ``identity``, else None."""
-    try:
-        with open(os.path.join(sidecar, MMAP_INDEX)) as fh:
-            index = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if index.get("source") != identity:
+    index, _ = read_json(os.path.join(sidecar, MMAP_INDEX))
+    if index is None or index.get("source") != identity:
         return None
     return index
 

@@ -249,8 +249,10 @@ class IthemalAdapter(_BaselineAdapter):
         self, name: str, n_instructions: int,
         latencies: np.ndarray | None, isa: str | None = None,
     ):
+        # serving (no latencies) keeps its trace out of the frontend memo
         trace = get_frontend(isa or self._isa).trace(
-            name, n_instructions, seed=self.trace_seed
+            name, n_instructions, seed=self.trace_seed,
+            memo=latencies is not None,
         )
         if latencies is None:
             # serving: block structure only — sized to the trace the
@@ -373,7 +375,7 @@ class SimNetAdapter(_BaselineAdapter):
         for request in requests:
             trace = get_frontend(request.isa or self._isa).trace(
                 request.benchmark, request.require_length(),
-                seed=self.trace_seed,
+                seed=self.trace_seed, memo=False,
             )
             feats = simnet_features(trace, self._config)
             out.append(np.array([self._model.predict_total_time(feats)]))

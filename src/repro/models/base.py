@@ -19,9 +19,9 @@ implements the same surface:
   benchmark against the dataset's simulated ground truth.
 * ``save(path)`` / :func:`load_model` — artifact persistence: a
   directory holding ``model.json`` (family + spec + metadata) and
-  ``weights.npz`` (every learned array, written atomically via
-  :mod:`repro.ml.serialize`). Reloaded models produce **byte-identical**
-  predictions.
+  ``weights.npz`` (every learned array, via :mod:`repro.ml.serialize`),
+  each published whole through :mod:`repro.cache`. Reloaded models
+  produce **byte-identical** predictions.
 * ``spec`` / ``metadata`` — the constructor hyper-parameters and the
   fitted-state summary, both JSON-serializable; together with the weight
   arrays they fully determine the model.
@@ -40,6 +40,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
+from repro.cache import publish, read_json
 from repro.core.errors import ErrorSummary, PredictionError, error_summary
 from repro.features.dataset import TraceDataset
 from repro.uarch.config import MicroarchConfig
@@ -233,32 +234,15 @@ class PerformanceModel(abc.ABC):
         from repro.ml.serialize import save_arrays
 
         self._require_fitted()
-        os.makedirs(path, exist_ok=True)
         save_arrays(os.path.join(path, WEIGHTS_NPZ), self.state_arrays())
         payload = {
             "family": self.family,
             "spec": self.spec,
             "metadata": self.metadata,
         }
-        write_json(os.path.join(path, MODEL_JSON), payload)
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        publish(os.path.join(path, MODEL_JSON), lambda fh: fh.write(text.encode()))
         return path
-
-
-def write_json(path: str, payload: dict) -> None:
-    """Atomic JSON write (tmp + rename), matching the npz convention."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def read_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def load_model(path: str) -> PerformanceModel:
@@ -271,7 +255,9 @@ def load_model(path: str) -> PerformanceModel:
     from repro.ml.serialize import load_arrays
     from repro.models.registry import create
 
-    payload = read_json(os.path.join(path, MODEL_JSON))
+    payload, outcome = read_json(os.path.join(path, MODEL_JSON))
+    if payload is None:
+        raise ValueError(f"no readable {MODEL_JSON} under {path} ({outcome})")
     model = create(payload["family"], **payload["spec"])
     model.restore(
         load_arrays(os.path.join(path, WEIGHTS_NPZ)), payload["metadata"]

@@ -7,7 +7,7 @@ default)::
         perfvec-3f9ab2c41d0e55aa/
             manifest.json       # identity + provenance (see below)
             model.json          # family, spec, metadata (load_model format)
-            weights.npz         # every learned array, written atomically
+            weights.npz         # every learned array
 
 The artifact id is **content-addressed**: a hash over the family, the
 spec, the training config, the dataset fingerprint and a digest of the
@@ -19,7 +19,9 @@ of the training data; :meth:`ModelStore.load` rejects an artifact whose
 recorded fingerprint does not match the caller's expectation
 (:class:`FingerprintMismatch`), so a stored model can never silently be
 reused against data it was not trained on. Weight integrity is verified
-on every load against the manifest's ``weights_digest``.
+on every load against the manifest's ``weights_digest``. Every file is
+published and read through :mod:`repro.cache`; :meth:`ModelStore.list`
+skips (and the cache layer logs) an artifact whose manifest is corrupt.
 """
 
 from __future__ import annotations
@@ -30,15 +32,9 @@ import os
 
 import numpy as np
 
-from repro.cache import model_store_dir
+from repro.cache import model_store_dir, publish, read_json
 from repro.ml.serialize import load_arrays
-from repro.models.base import (
-    MODEL_JSON,
-    WEIGHTS_NPZ,
-    PerformanceModel,
-    read_json,
-    write_json,
-)
+from repro.models.base import MODEL_JSON, WEIGHTS_NPZ, PerformanceModel
 
 #: Provenance record inside each artifact directory.
 MANIFEST_JSON = "manifest.json"
@@ -124,9 +120,11 @@ class ModelStore:
         digest = hashlib.sha256(_canonical(identity)).hexdigest()[:16]
         artifact_id = f"{model.family}-{digest}"
         path = self.path(artifact_id)
-        if tag is None and self.exists(artifact_id):
+        manifest_path = os.path.join(path, MANIFEST_JSON)
+        if tag is None:
             # re-putting identical content must not erase an earlier tag
-            tag = self.manifest(artifact_id).get("tag")
+            previous, _ = read_json(manifest_path)
+            tag = (previous or {}).get("tag")
         model.save(path)
         manifest = {
             "format": STORE_FORMAT,
@@ -139,7 +137,8 @@ class ModelStore:
             "weights_digest": weights_digest,
             "tag": tag,
         }
-        write_json(os.path.join(path, MANIFEST_JSON), manifest)
+        text = json.dumps(manifest, indent=2, sort_keys=True)
+        publish(manifest_path, lambda fh: fh.write(text.encode()))
         return artifact_id
 
     # -- read -------------------------------------------------------------
@@ -147,10 +146,14 @@ class ModelStore:
         return os.path.exists(os.path.join(self.path(artifact_id), MANIFEST_JSON))
 
     def manifest(self, artifact_id: str) -> dict:
-        path = os.path.join(self.path(artifact_id), MANIFEST_JSON)
-        if not os.path.exists(path):
+        manifest, outcome = read_json(
+            os.path.join(self.path(artifact_id), MANIFEST_JSON)
+        )
+        if outcome == "miss":
             raise StoreError(f"no artifact {artifact_id!r} under {self.root}")
-        return read_json(path)
+        if manifest is None:
+            raise StoreError(f"artifact {artifact_id!r} has a corrupt manifest")
+        return manifest
 
     def load(
         self,
@@ -191,14 +194,16 @@ class ModelStore:
 
     # -- query ------------------------------------------------------------
     def list(self) -> list[dict]:
-        """Every stored manifest, newest first."""
+        """Every readable stored manifest, newest first (a corrupt one is
+        skipped, so one torn artifact cannot hide the others)."""
         if not os.path.isdir(self.root):
             return []
         entries = []
         for name in os.listdir(self.root):
             path = os.path.join(self.root, name, MANIFEST_JSON)
-            if os.path.exists(path):
-                entries.append((os.path.getmtime(path), read_json(path)))
+            manifest, _ = read_json(path)
+            if manifest is not None:
+                entries.append((os.path.getmtime(path), manifest))
         entries.sort(key=lambda item: item[0], reverse=True)
         return [manifest for _, manifest in entries]
 

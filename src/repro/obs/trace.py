@@ -43,7 +43,7 @@ import uuid
 from collections import deque
 from dataclasses import dataclass
 
-from repro.cache import obs_dir
+from repro.cache import obs_dir, publish
 
 #: Environment variable enabling span capture (off by default).
 OBS_ENV = "REPRO_OBS"
@@ -392,13 +392,11 @@ def dump_flight(reason: str, extra: dict | None = None) -> str | None:
     if not spans:
         return None
     try:
-        directory = os.path.join(obs_dir(), "flight")
-        os.makedirs(directory, exist_ok=True)
         stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
         safe = "".join(c if c.isalnum() or c in "-_" else "-"
                        for c in reason)[:48]
         path = os.path.join(
-            directory,
+            obs_dir(), "flight",
             f"{stamp}-{safe}-{os.getpid()}-{_new_id(32)}.json",
         )
         payload = {
@@ -410,9 +408,8 @@ def dump_flight(reason: str, extra: dict | None = None) -> str | None:
         }
         if extra:
             payload["extra"] = extra
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, default=str)
-        return path
+        text = json.dumps(payload, default=str)
+        return publish(path, lambda fh: fh.write(text.encode()))
     except OSError:
         return None
 

@@ -15,11 +15,11 @@ producing which references.
 
 The store is safe for **concurrent writers and readers** (the
 distributed queue backend runs many worker processes against one root):
-publication is an atomic tmp-write + ``os.replace`` so readers only ever
-see whole records, a corrupt or partial record reads as a miss (the
-stage recomputes), racing writers of one key converge on a single record
-with the first publisher winning by default (``overwrite=False``), and
-temp files orphaned by a killed writer are reaped on store init.
+records are published and read through :mod:`repro.cache`, a corrupt or
+malformed record reads as a miss (the stage recomputes) and is counted,
+racing writers of one key converge on a single record with the first
+publisher winning by default (``overwrite=False``), and store init reaps
+the tmp files a killed writer left behind.
 """
 
 from __future__ import annotations
@@ -29,19 +29,14 @@ import hashlib
 import json
 import logging
 import os
-import time
 
-from repro.cache import stage_store_dir
+from repro.cache import publish, read_json, reap_tmp, stage_store_dir
 from repro.obs.metrics import REGISTRY
 
 log = logging.getLogger(__name__)
 
 #: Bump when the artifact record layout changes incompatibly.
 STAGE_STORE_FORMAT = 1
-
-#: A ``.tmp`` file older than this is an orphan from a dead writer —
-#: live writers hold theirs for milliseconds — and is reaped on init.
-STALE_TMP_SECONDS = 600.0
 
 
 def _canonical(payload) -> bytes:
@@ -75,11 +70,9 @@ def stage_key(
 class StageArtifactStore:
     """Flat directory of ``<key>.json`` stage records."""
 
-    def __init__(self, root: str | None = None,
-                 tmp_ttl_s: float = STALE_TMP_SECONDS):
+    def __init__(self, root: str | None = None):
         self.root = root or stage_store_dir()
-        self.tmp_ttl_s = tmp_ttl_s
-        self.reap_stale_tmp()
+        reap_tmp(self.root)
 
     def path(self, key: str) -> str:
         return os.path.join(self.root, f"{key}.json")
@@ -91,20 +84,14 @@ class StageArtifactStore:
         republishes — but is counted and logged instead of silently
         indistinguishable from "never ran".
         """
-        path = self.path(key)
-        if not os.path.exists(path):
+        record, outcome = read_json(self.path(key))
+        if outcome == "miss":
             self._count("miss")
             return None
-        try:
-            with open(path, encoding="utf-8") as fh:
-                record = json.load(fh)
-        except OSError:
-            self._count("miss")
+        if record is None:
+            self._corrupt(key, "unreadable")
             return None
-        except json.JSONDecodeError as exc:
-            self._corrupt(key, f"unparseable JSON: {exc}")
-            return None
-        if not isinstance(record, dict) or record.get("format") != STAGE_STORE_FORMAT:
+        if record.get("format") != STAGE_STORE_FORMAT:
             self._corrupt(key, "wrong format marker")
             return None
         if "payload" not in record:
@@ -140,18 +127,16 @@ class StageArtifactStore:
         worker: str | None = None,
         overwrite: bool = True,
     ) -> str:
-        """Persist one stage record atomically; returns its path.
+        """Publish one stage record; returns its path.
 
         With ``overwrite=False`` an existing valid record wins and this
         publication is discarded — the protocol queue workers use so two
-        workers racing on one key converge without a rewrite.  The write
-        itself is tmp + ``os.replace``, so readers never observe a
-        partial record regardless of who wins.
+        workers racing on one key converge without a rewrite.  Readers
+        see one whole record whoever wins.
         """
         path = self.path(key)
         if not overwrite and self.get(key) is not None:
             return path
-        os.makedirs(self.root, exist_ok=True)
         record = {
             "format": STAGE_STORE_FORMAT,
             "key": key,
@@ -166,39 +151,11 @@ class StageArtifactStore:
             record["cpu_seconds"] = round(float(cpu_seconds), 6)
         if worker is not None:
             record["worker"] = worker
-        tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, default=str)
-        os.replace(tmp, path)
-        return path
+        text = json.dumps(record, indent=2, default=str)
+        return publish(path, lambda fh: fh.write(text.encode()))
 
     def drop(self, key: str) -> None:
         try:
             os.remove(self.path(key))
         except OSError:
             pass
-
-    def reap_stale_tmp(self) -> int:
-        """Delete ``.tmp`` files orphaned by dead writers; returns count.
-
-        A worker SIGKILLed between its tmp write and the ``os.replace``
-        leaves ``<key>.json.<pid>.tmp`` behind forever.  Anything older
-        than ``tmp_ttl_s`` cannot belong to a live writer, so init sweeps
-        it.  Fresh tmp files (a concurrent writer mid-publish) are left
-        alone.
-        """
-        if not os.path.isdir(self.root):
-            return 0
-        now = time.time()
-        reaped = 0
-        for name in os.listdir(self.root):
-            if not name.endswith(".tmp"):
-                continue
-            path = os.path.join(self.root, name)
-            try:
-                if now - os.stat(path).st_mtime > self.tmp_ttl_s:
-                    os.remove(path)
-                    reaped += 1
-            except OSError:
-                continue  # vanished under us: another reaper won
-        return reaped

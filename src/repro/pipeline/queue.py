@@ -7,16 +7,16 @@ worker via ``repro pipeline worker``.  No sockets, no broker:
 
 ``tasks/<key>.json``
     One ready-to-run stage (its spec fragment, scale, upstream artifact
-    keys).  Written atomically by the coordinator once every upstream
-    key has been published to the :class:`StageArtifactStore`; removed
-    by whichever worker completes it.
+    keys).  Published by the coordinator once every upstream key has
+    been published to the :class:`StageArtifactStore`; removed by
+    whichever worker completes it.
 
 ``leases/<key>.json``
     An exclusive claim.  Creation is ``O_CREAT | O_EXCL`` so exactly one
     claimer wins; the owner heartbeats by touching the file's mtime.  A
     lease whose mtime is older than the TTL belongs to a dead or wedged
-    worker and may be **stolen**: the thief atomically replaces the
-    lease with its own token and re-reads to confirm it won.  A doomed
+    worker and may be **stolen**: the thief publishes its own lease over
+    it and re-reads to confirm it won.  A doomed
     double-execution window exists by design (two thieves can both pass
     the confirm read) — correctness is preserved because publication to
     the artifact store is atomic and first-writer-wins, so the loser's
@@ -28,14 +28,18 @@ worker via ``repro pipeline worker``.  No sockets, no broker:
     everything else that completed.
 
 ``stats/<worker>.json``
-    Per-worker lifetime counters (claimed/executed/stolen/...), written
-    atomically after every task so the coordinator can report per-worker
-    throughput and steal counts.
+    Per-worker lifetime counters (claimed/executed/stolen/...), published
+    after every task so the coordinator can report per-worker throughput
+    and steal counts.
 
 ``stop``
     Shutdown sentinel.  The coordinator writes it when the run finishes
     (or fails); workers exit when they see it, which is how remote
     ``repro pipeline worker`` processes learn the sweep is over.
+
+Every file but a fresh lease is published and read through
+:mod:`repro.cache`; a corrupt one reads as absent (the caller retries)
+and is counted.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import time
 import uuid
 from dataclasses import dataclass
 
-from repro.cache import queue_dir
+from repro.cache import publish, queue_dir, read_json, reap_tmp
 from repro.obs.metrics import REGISTRY
 
 log = logging.getLogger(__name__)
@@ -67,33 +71,26 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def _write_json_atomic(path: str, data: dict) -> None:
-    tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, default=str)
-    os.replace(tmp, path)
+def _publish(path: str, data: dict) -> None:
+    text = json.dumps(data, default=str)
+    publish(path, lambda fh: fh.write(text.encode()))
 
 
-def _read_json(path: str) -> dict | None:
+def _read(path: str) -> dict | None:
     """A whole JSON object, or ``None`` for missing/corrupt (= retry).
 
-    Corrupt files (present but unparseable — a torn write or a flipped
-    bit) are counted and logged rather than silently folded into
-    "missing": a retry still recovers, but the corruption is visible.
+    A corrupt file (a flipped bit, a torn copy) is counted rather than
+    silently folded into "missing": a retry still recovers, but the
+    corruption is visible.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError:
-        return None
-    except json.JSONDecodeError as exc:
+    data, outcome = read_json(path)
+    if outcome == "corrupt":
         REGISTRY.counter(
             "repro_queue_corrupt_total",
             "Queue files present but unparseable.",
         ).inc()
-        log.warning("corrupt queue file %s: %s", path, exc)
-        return None
-    return data if isinstance(data, dict) else None
+        log.warning("corrupt queue file %s: skipped", path)
+    return data
 
 
 @dataclass
@@ -153,7 +150,7 @@ class WorkQueue:
         path = self.task_path(task["key"])
         if os.path.exists(path):
             return False
-        _write_json_atomic(path, task)
+        _publish(path, task)
         return True
 
     def task_keys(self) -> list[str]:
@@ -209,11 +206,11 @@ class WorkQueue:
             # Steal: atomically replace the stale lease, then confirm we
             # are the one the file now names (two thieves can race; the
             # replace is atomic so exactly one token survives).
-            _write_json_atomic(lease_path, lease)
-            current = _read_json(lease_path)
+            _publish(lease_path, lease)
+            current = _read(lease_path)
             if current is None or current.get("token") != token:
                 return None
-        task = _read_json(self.task_path(key))
+        task = _read(self.task_path(key))
         if task is None:
             # completed (or corrupt) between scan and claim: release
             self._unlink(lease_path)
@@ -243,9 +240,8 @@ class WorkQueue:
 
     def fail(self, claim: Claim, error: str) -> None:
         """Record a worker-side stage failure for the coordinator."""
-        self.ensure()
         stage = claim.task.get("stage", {})
-        _write_json_atomic(
+        _publish(
             os.path.join(self._dir(_FAILED), f"{claim.key}.json"),
             {
                 "key": claim.key,
@@ -258,8 +254,7 @@ class WorkQueue:
 
     def first_failure(self) -> dict | None:
         for key in self._keys(_FAILED):
-            failure = _read_json(os.path.join(self._dir(_FAILED),
-                                              f"{key}.json"))
+            failure = _read(os.path.join(self._dir(_FAILED), f"{key}.json"))
             if failure is not None:
                 return failure
         return None
@@ -291,25 +286,12 @@ class WorkQueue:
             ).inc(reaped)
         return reaped
 
-    def reap_tmp(self, ttl_s: float = 600.0) -> int:
-        """Delete orphaned ``.tmp`` files from killed writers."""
-        reaped = 0
-        now = time.time()
-        for name in (_TASKS, _LEASES, _FAILED, _STATS):
-            directory = self._dir(name)
-            if not os.path.isdir(directory):
-                continue
-            for entry in os.listdir(directory):
-                if not entry.endswith(".tmp"):
-                    continue
-                path = os.path.join(directory, entry)
-                try:
-                    if now - os.stat(path).st_mtime > ttl_s:
-                        os.remove(path)
-                        reaped += 1
-                except OSError:
-                    continue
-        return reaped
+    def reap_tmp(self) -> int:
+        """Delete stale ``.tmp`` files from killed writers; returns how many."""
+        return sum(
+            reap_tmp(self._dir(name))
+            for name in (_TASKS, _LEASES, _FAILED, _STATS)
+        )
 
     # -- depth / stats / shutdown -----------------------------------------
     def depth(self) -> dict:
@@ -324,8 +306,7 @@ class WorkQueue:
         return {"ready": ready, "leased": leased}
 
     def write_stats(self, worker_id: str, stats: dict) -> None:
-        self.ensure()
-        _write_json_atomic(
+        _publish(
             os.path.join(self._dir(_STATS), f"{worker_id}.json"), stats
         )
 
@@ -333,18 +314,15 @@ class WorkQueue:
         """Every worker's latest counters, keyed by worker id."""
         out: dict[str, dict] = {}
         for worker_id in self._keys(_STATS):
-            stats = _read_json(os.path.join(self._dir(_STATS),
-                                            f"{worker_id}.json"))
+            stats = _read(os.path.join(self._dir(_STATS), f"{worker_id}.json"))
             if stats is not None:
                 out[worker_id] = stats
         return out
 
     def stop(self) -> None:
         """Raise the shutdown sentinel (idempotent)."""
-        self.ensure()
-        with open(os.path.join(self.root, _STOP), "w",
-                  encoding="utf-8") as fh:
-            fh.write(str(time.time()))
+        stamp = str(time.time()).encode()
+        publish(os.path.join(self.root, _STOP), lambda fh: fh.write(stamp))
 
     def clear_stop(self) -> None:
         self._unlink(os.path.join(self.root, _STOP))

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.cache import results_dir as resolve_results_dir
+from repro.cache import publish, results_dir as resolve_results_dir
 
 
 @dataclass
@@ -52,14 +52,14 @@ class ExperimentResult:
         )})
 
     def save(self, results_dir: str | None = None) -> str:
-        """Write the result JSON; default dir follows the cache root
+        """Publish the result JSON; default dir follows the cache root
         (``REPRO_RESULTS_DIR`` / ``--results-dir`` / ``<root>/results``)."""
-        results_dir = resolve_results_dir(results_dir)
-        os.makedirs(results_dir, exist_ok=True)
-        path = os.path.join(results_dir, f"{self.experiment}_{self.scale}.json")
-        with open(path, "w") as fh:
-            json.dump(self.payload(), fh, indent=2, default=str)
-        return path
+        path = os.path.join(
+            resolve_results_dir(results_dir),
+            f"{self.experiment}_{self.scale}.json",
+        )
+        text = json.dumps(self.payload(), indent=2, default=str)
+        return publish(path, lambda fh: fh.write(text.encode()))
 
 
 def render_table(headers: list[str], rows: list[list]) -> str:

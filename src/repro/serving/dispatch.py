@@ -407,7 +407,7 @@ class Dispatcher:
                     continue
                 target = min(survivors, key=_Lane.load)
                 self._events["failovers"].inc()
-                self._enqueue(target, entry, allow_overflow=True)
+                self._enqueue(target, entry)
         if self.on_worker_lost is not None:
             self.on_worker_lost(worker_id)
 
@@ -498,9 +498,7 @@ class Dispatcher:
         ranked = sorted(lanes, key=score)
         return ranked[: max(1, self.policy.replicas)]
 
-    def _enqueue(
-        self, lane: _Lane, entry: _Entry, allow_overflow: bool = False
-    ) -> None:
+    def _enqueue(self, lane: _Lane, entry: _Entry) -> None:
         """Register a rid for ``entry`` on ``lane`` (caller holds lock)."""
         rid = self._new_id()
         entry.rids.append(rid)
@@ -604,7 +602,7 @@ class Dispatcher:
             ] or [min(lanes, key=_Lane.load)]
             entry.hedged = True
             self._events["hedged"].inc()
-            self._enqueue(candidates[0], entry, allow_overflow=True)
+            self._enqueue(candidates[0], entry)
 
 
 __all__ = [

@@ -51,15 +51,6 @@ def test_export_import_round_trip(tmp_path, sample_trace):
         assert np.array_equal(back.fault, sample_trace.fault)
 
 
-def test_streaming_and_whole_file_agree(tmp_path, sample_trace):
-    path = str(tmp_path / "t.jsonl")
-    export_trace(sample_trace, path)
-    streamed = parse_trace(path, streaming=True)
-    slurped = parse_trace(path, streaming=False)
-    assert np.array_equal(streamed.opid, slurped.opid)
-    assert np.array_equal(streamed.pc, slurped.pc)
-
-
 def test_gzip_transparent(tmp_path, sample_trace):
     plain = str(tmp_path / "t.jsonl")
     export_trace(sample_trace, plain)

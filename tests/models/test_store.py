@@ -1,13 +1,15 @@
 """ModelStore: content addressing, provenance checks, integrity."""
 
+import logging
 import os
 
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.ml.serialize import load_arrays, save_arrays
 from repro.models import FingerprintMismatch, ModelStore, StoreError, create
-from repro.models.store import WEIGHTS_NPZ
+from repro.models.store import MANIFEST_JSON, WEIGHTS_NPZ
 
 @pytest.fixture()
 def store(tmp_path):
@@ -132,3 +134,23 @@ def test_reput_without_tag_preserves_existing_tag(store, fitted, tiny_dataset):
     # an explicit new tag still wins
     store.put(fitted, dataset_fingerprint=fp, tag="nightly")
     assert store.manifest(artifact)["tag"] == "nightly"
+
+
+def test_a_torn_manifest_hides_no_other_artifact(
+    tmp_path, fitted, tiny_dataset, caplog
+):
+    session = Session(scale="smoke", cache_dir=str(tmp_path))
+    artifact = session.store.put(
+        fitted, dataset_fingerprint=tiny_dataset.fingerprint(),
+        train_config={"scale": "smoke"},
+    )
+    torn = os.path.join(
+        session.store.path("actboost-0123456789abcdef"), MANIFEST_JSON
+    )
+    os.makedirs(os.path.dirname(torn))
+    with open(torn, "w") as fh:
+        fh.write('{"format": 1, "id": "actboost-01')  # killed mid-copy
+    with caplog.at_level(logging.WARNING):
+        assert [m["id"] for m in session.store.list()] == [artifact]
+    assert any(torn in record.getMessage() for record in caplog.records)
+    assert session.resolve_artifact(family="actboost") == artifact

@@ -4,6 +4,7 @@ import json
 import os
 import time
 
+from repro.cache import reap_tmp
 from repro.pipeline.artifacts import STAGE_STORE_FORMAT, StageArtifactStore
 from repro.runtime import ParallelMap
 
@@ -28,7 +29,7 @@ def test_init_reaps_stale_tmp_but_keeps_fresh(tmp_path):
     store = _store(tmp_path)  # init sweeps
     assert not stale.exists()
     assert fresh.exists()  # could be a live writer mid-publish
-    assert store.reap_stale_tmp() == 0  # idempotent
+    assert reap_tmp(store.root) == 0  # idempotent
 
 
 def test_put_leaves_no_tmp_behind(tmp_path):
@@ -40,7 +41,7 @@ def test_put_leaves_no_tmp_behind(tmp_path):
 
 def test_reap_on_missing_root_is_harmless(tmp_path):
     store = StageArtifactStore(root=str(tmp_path / "never_created"))
-    assert store.reap_stale_tmp() == 0
+    assert reap_tmp(store.root) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_reap_tmp_clears_old_orphans_only(queue, tmp_path):
             fh.write("{")
     past = time.time() - 7200
     os.utime(old, (past, past))
-    assert queue.reap_tmp(ttl_s=600) == 1
+    assert queue.reap_tmp() == 1
     assert not os.path.exists(old)
     assert os.path.exists(fresh)
 

@@ -245,18 +245,24 @@ def test_served_streams_are_not_kept(service, session, monkeypatch):
     assert entries("answer") == len(BENCHMARKS)
 
 
-def test_served_misses_leave_the_trace_memo_empty(session):
-    # a feature-cache miss traces its program for one encode and keeps
-    # the trace out of the frontend's process-wide memo, which dataset
-    # builds share (the fixture's training filled it with these programs)
+@pytest.mark.parametrize("family", ["perfvec", "simnet", "ithemal"])
+def test_served_misses_leave_the_trace_memo_empty(session, family):
+    # a served miss traces its program for one pass (perfvec: on a
+    # feature-cache miss, to encode it) and keeps the trace out of the
+    # frontend's process-wide memo, which dataset builds and training
+    # share (training filled it with these programs)
+    if family != "perfvec":
+        session.train(family=family, benchmarks=BENCHMARKS, evaluate=False,
+                      epochs=1)
     features = feature_cache_dir(session.cache_dir)
     shutil.rmtree(features, ignore_errors=True)
     session._features.clear()
     suite.clear_trace_cache()
     service = PredictionService(session=session)
     for name in BENCHMARKS:
-        service.predict(ServeRequest(benchmark=name))
-    assert len(os.listdir(features)) == len(BENCHMARKS)  # every one missed
+        service.predict(ServeRequest(benchmark=name, family=family))
+    if family == "perfvec":  # every one missed the feature cache
+        assert len(os.listdir(features)) == len(BENCHMARKS)
     assert suite._TRACE_CACHE == {}
 
 
