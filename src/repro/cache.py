@@ -13,11 +13,12 @@ can redirect every cache by setting the environment variable (or passing
 ``--cache-dir``, which does exactly that) without reimporting anything.
 
 Every file a store keeps under the root or the results dir is written
-with :func:`publish`, read with :func:`read_json` / :func:`read_npz`, and its
-killed writers' tmp files are deleted by :func:`reap_tmp`.  A reader sees
-the old file or the new one, never a torn one.  There is no ``fsync``:
-every file here can be rebuilt from its inputs, so a crash may cost a
-recompute but never serves a torn file.
+with :func:`publish`, read with :func:`read_json`, :func:`read_npz` or
+:func:`read_npz_arrays`, and its killed writers' tmp files are deleted
+by :func:`reap_tmp`.  A reader sees the old file or the new one, never
+a torn one.  There is no ``fsync``: every file here can be rebuilt from
+its inputs, so a crash may cost a recompute but never serves a torn
+file.
 """
 
 from __future__ import annotations
@@ -189,9 +190,21 @@ def read_npz(path: str, *keys: str) -> tuple[tuple[np.ndarray, ...] | None, str]
     Outcomes as for :func:`read_json`; a torn archive, an empty file or a
     missing key is ``"corrupt"``.
     """
+    return _read_npz(path, lambda data: tuple(data[key] for key in keys))
+
+
+def read_npz_arrays(path: str) -> tuple[dict[str, np.ndarray] | None, str]:
+    """``(arrays, outcome)``: every array of the npz at ``path``, by name.
+
+    Outcomes as for :func:`read_npz`.
+    """
+    return _read_npz(path, lambda data: {name: data[name] for name in data.files})
+
+
+def _read_npz(path: str, take: Callable[[Any], Any]) -> tuple[Any, str]:
     try:
         with np.load(path) as data:
-            return tuple(data[key] for key in keys), "hit"
+            return take(data), "hit"
     except FileNotFoundError:
         return None, "miss"
     except (OSError, ValueError, KeyError, EOFError,  # EOFError: empty file

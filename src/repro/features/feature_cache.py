@@ -23,7 +23,7 @@ import os
 
 import numpy as np
 
-from repro.cache import cache_root, read_npz
+from repro.cache import cache_root, publish, read_npz
 from repro.features.encoder import NUM_FEATURES, iter_encoded_chunks
 from repro.frontends import DEFAULT_FRONTEND
 from repro.obs.metrics import REGISTRY
@@ -103,7 +103,6 @@ def encoded_features(
     keeps that trace out of the frontend's process-wide trace memo.
     """
     from repro.frontends import get_frontend
-    from repro.ml.serialize import save_arrays
 
     if cache_dir == DEFAULT_CACHE_DIR:
         cache_dir = feature_cache_dir()
@@ -129,5 +128,5 @@ def encoded_features(
         features[row : row + len(chunk)] = chunk
         row += len(chunk)
     if path:
-        save_arrays(path, {"features": features})
+        publish(path, lambda fh: np.savez_compressed(fh, features=features))
     return features

@@ -6,7 +6,9 @@ scratch: a reverse-mode autodiff engine (:mod:`~repro.ml.autograd`), the
 layer zoo the paper's architecture ablation sweeps (Linear, MLP, LSTM, GRU,
 biLSTM, Transformer encoder), Adam with step decay, sequence data loaders
 and a best-on-validation training loop.  Gradients are verified against
-finite differences in the test suite.
+finite differences in the test suite.  Nothing here writes or reads a
+weights file: a model's ``state_dict()`` reaches disk only through
+:class:`~repro.models.store.ModelStore`.
 
 Importing the package pins the process's malloc thresholds
 (:mod:`~repro.ml.allocator`) so training steps reuse heap pages instead
@@ -35,7 +37,6 @@ from repro.ml.attention import MultiHeadAttention, TransformerEncoder
 from repro.ml.optim import SGD, Adam, StepLR
 from repro.ml.data import ChunkBatches, split_chunks
 from repro.ml.trainer import TrainConfig, Trainer
-from repro.ml.serialize import load_state, save_state
 
 __all__ = [
     "Tensor", "concat", "no_grad", "stack",
@@ -47,5 +48,4 @@ __all__ = [
     "SGD", "Adam", "StepLR",
     "ChunkBatches", "split_chunks",
     "TrainConfig", "Trainer",
-    "load_state", "save_state",
 ]

@@ -85,13 +85,7 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for {name}: {value.shape} vs {p.data.shape}"
                 )
-            if value is state[name] and not value.flags.writeable:
-                # read-only state (an mmap'd artifact) is aliased, not
-                # copied: N serving workers share one physical copy of
-                # the weights, and numpy blocks in-place mutation
-                p.data = value
-            else:
-                p.data = value.copy()
+            p.data = value.copy()
 
     def zero_grad(self) -> None:
         for p in self.parameters():

@@ -2,14 +2,16 @@
 
 * :mod:`~repro.models.base` — the :class:`PerformanceModel` estimator
   protocol every family implements (``fit`` / ``predict`` / ``evaluate``
-  / ``save`` / ``load`` plus ``spec`` / ``metadata``).
+  plus ``spec`` / ``metadata`` and the ``state_arrays`` / ``restore``
+  pair the store persists).
 * :mod:`~repro.models.adapters` — thin adapters putting
   :class:`repro.core.perfvec.PerfVec` and the five baselines behind the
   protocol (the low-level modules are untouched).
 * :mod:`~repro.models.registry` — family name → factory; the CLI,
   experiments and :class:`repro.api.Session` construct models here.
 * :mod:`~repro.models.store` — the versioned, content-addressed artifact
-  store (``ModelStore``) with dataset-fingerprint provenance checks.
+  store (``ModelStore``) with dataset-fingerprint provenance checks: the
+  only code that writes or reads a model artifact.
 """
 
 from repro.core.errors import PredictionError, UnknownBenchmarkError
@@ -17,7 +19,6 @@ from repro.models.base import (
     NotFittedError,
     PerformanceModel,
     PredictRequest,
-    load_model,
 )
 from repro.models.registry import available, create, get_family, register
 from repro.models.store import FingerprintMismatch, ModelStore, StoreError
@@ -36,7 +37,6 @@ __all__ = [
     "PredictionError",
     "UnknownBenchmarkError",
     "NotFittedError",
-    "load_model",
     "register",
     "create",
     "available",

@@ -17,11 +17,10 @@ implements the same surface:
   engine pass; parameter families answer from their fitted state).
 * ``evaluate(dataset)`` — :class:`~repro.core.errors.ErrorSummary` per
   benchmark against the dataset's simulated ground truth.
-* ``save(path)`` / :func:`load_model` — artifact persistence: a
-  directory holding ``model.json`` (family + spec + metadata) and
-  ``weights.npz`` (every learned array, via :mod:`repro.ml.serialize`),
-  each published whole through :mod:`repro.cache`. Reloaded models
-  produce **byte-identical** predictions.
+* ``state_arrays()`` / ``restore(arrays, metadata)`` — every learned
+  array out, and fitted state rebuilt from them; the file I/O belongs to
+  :class:`~repro.models.store.ModelStore`, whose reloaded models produce
+  **byte-identical** predictions.
 * ``spec`` / ``metadata`` — the constructor hyper-parameters and the
   fitted-state summary, both JSON-serializable; together with the weight
   arrays they fully determine the model.
@@ -33,26 +32,18 @@ untouched; adapters in :mod:`repro.models.adapters` wrap them.
 from __future__ import annotations
 
 import abc
-import json
-import os
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from repro.cache import publish, read_json
 from repro.core.errors import ErrorSummary, PredictionError, error_summary
 from repro.features.dataset import TraceDataset
 from repro.uarch.config import MicroarchConfig
 
-#: Name of the JSON half of an artifact directory.
-MODEL_JSON = "model.json"
-#: Name of the array half of an artifact directory.
-WEIGHTS_NPZ = "weights.npz"
-
 
 class NotFittedError(RuntimeError):
-    """Raised when predicting or saving with an unfitted model."""
+    """Raised when predicting or storing with an unfitted model."""
 
 
 @dataclass(frozen=True)
@@ -227,39 +218,4 @@ class PerformanceModel(abc.ABC):
     @abc.abstractmethod
     def restore(self, arrays: dict[str, np.ndarray], metadata: dict) -> None:
         """Rebuild fitted state from :meth:`state_arrays` output and the
-        saved :attr:`metadata`."""
-
-    def save(self, path: str) -> str:
-        """Write this model as an artifact directory; returns ``path``."""
-        from repro.ml.serialize import save_arrays
-
-        self._require_fitted()
-        save_arrays(os.path.join(path, WEIGHTS_NPZ), self.state_arrays())
-        payload = {
-            "family": self.family,
-            "spec": self.spec,
-            "metadata": self.metadata,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        publish(os.path.join(path, MODEL_JSON), lambda fh: fh.write(text.encode()))
-        return path
-
-
-def load_model(path: str) -> PerformanceModel:
-    """Load any artifact directory written by :meth:`PerformanceModel.save`.
-
-    The family recorded in ``model.json`` selects the adapter class via
-    :mod:`repro.models.registry`; the spec rebuilds it and the weight
-    arrays restore its fitted state.
-    """
-    from repro.ml.serialize import load_arrays
-    from repro.models.registry import create
-
-    payload, outcome = read_json(os.path.join(path, MODEL_JSON))
-    if payload is None:
-        raise ValueError(f"no readable {MODEL_JSON} under {path} ({outcome})")
-    model = create(payload["family"], **payload["spec"])
-    model.restore(
-        load_arrays(os.path.join(path, WEIGHTS_NPZ)), payload["metadata"]
-    )
-    return model
+        stored :attr:`metadata`."""

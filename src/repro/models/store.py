@@ -5,8 +5,7 @@ default)::
 
     <store root>/
         perfvec-3f9ab2c41d0e55aa/
-            manifest.json       # identity + provenance (see below)
-            model.json          # family, spec, metadata (load_model format)
+            manifest.json       # family, spec, metadata, provenance
             weights.npz         # every learned array
 
 The artifact id is **content-addressed**: a hash over the family, the
@@ -19,9 +18,11 @@ of the training data; :meth:`ModelStore.load` rejects an artifact whose
 recorded fingerprint does not match the caller's expectation
 (:class:`FingerprintMismatch`), so a stored model can never silently be
 reused against data it was not trained on. Weight integrity is verified
-on every load against the manifest's ``weights_digest``. Every file is
-published and read through :mod:`repro.cache`; :meth:`ModelStore.list`
-skips (and the cache layer logs) an artifact whose manifest is corrupt.
+on every load against the manifest's ``weights_digest``; missing, torn
+or tampered weights raise :class:`StoreError`. The store is the only
+code that writes or reads an artifact, and both files are published and
+read through :mod:`repro.cache`; :meth:`ModelStore.list` skips (and the
+cache layer logs) an artifact whose manifest is corrupt.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ import os
 
 import numpy as np
 
-from repro.cache import model_store_dir, publish, read_json
-from repro.ml.serialize import load_arrays
-from repro.models.base import MODEL_JSON, WEIGHTS_NPZ, PerformanceModel
+from repro.cache import model_store_dir, publish, read_json, read_npz_arrays
+from repro.models.base import PerformanceModel
 
-#: Provenance record inside each artifact directory.
+#: Identity and provenance record inside each artifact directory.
 MANIFEST_JSON = "manifest.json"
+#: Every learned array of the model, beside the manifest.
+WEIGHTS_NPZ = "weights.npz"
 
 #: Bump when the artifact layout changes incompatibly.
 STORE_FORMAT = 1
@@ -125,7 +127,10 @@ class ModelStore:
             # re-putting identical content must not erase an earlier tag
             previous, _ = read_json(manifest_path)
             tag = (previous or {}).get("tag")
-        model.save(path)
+        publish(
+            os.path.join(path, WEIGHTS_NPZ),
+            lambda fh: np.savez_compressed(fh, **arrays),
+        )
         manifest = {
             "format": STORE_FORMAT,
             "id": artifact_id,
@@ -156,20 +161,13 @@ class ModelStore:
         return manifest
 
     def load(
-        self,
-        artifact_id: str,
-        expect_fingerprint: str | None = None,
-        mmap: bool = False,
+        self, artifact_id: str, expect_fingerprint: str | None = None
     ) -> PerformanceModel:
         """Rebuild the stored model, verifying integrity and provenance.
 
         With ``expect_fingerprint`` the load is refused unless the
-        artifact was trained on exactly that dataset.  With ``mmap=True``
-        the weight arrays are **read-only views over a shared page-cache
-        mapping** (see :func:`repro.ml.serialize.load_arrays`): serving
-        workers loading the same artifact share one physical copy.
-        Values — and therefore predictions — are bit-identical to the
-        eager load.
+        artifact was trained on exactly that dataset.  Reloaded models
+        predict byte-identically to the model that was stored.
         """
         from repro.models.registry import create
 
@@ -183,10 +181,12 @@ class ModelStore:
                 f"{manifest.get('dataset_fingerprint')!r}, expected "
                 f"{expect_fingerprint!r}"
             )
-        arrays = load_arrays(
-            os.path.join(self.path(artifact_id), WEIGHTS_NPZ), mmap=mmap
+        arrays, outcome = read_npz_arrays(
+            os.path.join(self.path(artifact_id), WEIGHTS_NPZ)
         )
-        if _digest_arrays(arrays) != manifest["weights_digest"]:
+        if outcome == "miss":
+            raise StoreError(f"artifact {artifact_id!r} has no weights")
+        if arrays is None or _digest_arrays(arrays) != manifest["weights_digest"]:
             raise StoreError(f"artifact {artifact_id!r} weights are corrupt")
         model = create(manifest["family"], **manifest["spec"])
         model.restore(arrays, manifest["metadata"])
@@ -248,8 +248,8 @@ class ModelStore:
 # re-exported for convenience alongside the store
 __all__ = [
     "MANIFEST_JSON",
-    "MODEL_JSON",
     "STORE_FORMAT",
+    "WEIGHTS_NPZ",
     "FingerprintMismatch",
     "ModelStore",
     "StoreError",

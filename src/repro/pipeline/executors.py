@@ -45,8 +45,12 @@ from repro.pipeline.spec import ExperimentSpec, StageSpec
 from repro.runtime.pool import process_pool
 from repro.runtime.progress import NULL_PROGRESS
 
-#: Queue poll cadence for the coordinator loop (seconds).
-DEFAULT_POLL_S = 0.05
+#: Queue poll cadence of the coordinator loop and its spawned workers
+#: (seconds).
+POLL_S = 0.05
+
+#: How often a queue run notes its depth on the progress display (seconds).
+NOTE_EVERY_S = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +393,6 @@ class QueueBackend:
         self,
         workers: int = 2,
         lease_ttl_s: float | None = None,
-        poll_s: float = DEFAULT_POLL_S,
-        queue_root: str | None = None,
-        worker_poll_s: float | None = None,
-        note_every_s: float = 2.0,
         on_tick: Callable | None = None,
     ):
         from repro.pipeline.queue import DEFAULT_LEASE_TTL_S
@@ -400,11 +400,6 @@ class QueueBackend:
         self.workers = workers
         self.lease_ttl_s = (DEFAULT_LEASE_TTL_S if lease_ttl_s is None
                             else lease_ttl_s)
-        self.poll_s = poll_s
-        self.queue_root = queue_root
-        self.worker_poll_s = (worker_poll_s if worker_poll_s is not None
-                              else poll_s)
-        self.note_every_s = note_every_s
         self.on_tick = on_tick
         self.spawned: list = []  # live WorkerProcess handles (chaos hook)
         self._respawns = 0
@@ -420,7 +415,7 @@ class QueueBackend:
         worker_id = f"{default_worker_id()}-{self._run_nonce}w{ordinal}"
         options = {
             "lease_ttl_s": self.lease_ttl_s,
-            "poll_s": self.worker_poll_s,
+            "poll_s": POLL_S,
         }
         from repro.pipeline.worker import worker_entry
 
@@ -458,7 +453,7 @@ class QueueBackend:
         from repro.pipeline.queue import WorkQueue
 
         self._run_nonce = uuid.uuid4().hex[:6]
-        queue = WorkQueue(self.queue_root, lease_ttl_s=self.lease_ttl_s)
+        queue = WorkQueue(lease_ttl_s=self.lease_ttl_s)
         queue.ensure()
         queue.clear_stop()
         queue.clear_failures()
@@ -534,7 +529,7 @@ class QueueBackend:
                 peak["ready"] = max(peak["ready"], depth["ready"])
                 peak["leased"] = max(peak["leased"], depth["leased"])
                 if (plan.progress is not NULL_PROGRESS
-                        and now - last_note >= self.note_every_s):
+                        and now - last_note >= NOTE_EVERY_S):
                     plan.progress.note(
                         f"queue: {depth['ready']} ready, "
                         f"{depth['leased']} running, "
@@ -542,7 +537,7 @@ class QueueBackend:
                     )
                     last_note = now
                 if not progressed and remaining:
-                    time.sleep(self.poll_s)
+                    time.sleep(POLL_S)
         finally:
             queue.stop()
             for proc in self.spawned:

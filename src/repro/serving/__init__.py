@@ -8,9 +8,9 @@
   request hedging and crash fail-over across worker lanes
   (transport-agnostic).
 * :mod:`~repro.serving.cluster` — :class:`PredictionCluster`: serving
-  workers (each a ``PredictionService``) behind one dispatcher, with
-  graceful model hot-swap; N spawned processes over mmap-shared weights,
-  or one in-process worker.
+  workers (each a ``PredictionService`` loading its own copy of each
+  model) behind one dispatcher, with graceful model hot-swap; N spawned
+  processes, or one in-process worker.
 * :mod:`~repro.serving.http` — a dependency-free HTTP/JSON endpoint over
   the cluster (``repro serve [--workers N]``).
 """

@@ -22,11 +22,9 @@ nothing itself: :meth:`PredictionCluster.worker_metrics` collects the
 obs registry of every process, and ``/v1/stats`` and ``/v1/metrics``
 are two views of it.
 
-Worker processes load model weights with ``mmap=True`` — read-only
-views over the artifact's extracted ``.npy`` sidecar — so all N
-processes share **one** physical copy of each model through the OS page
-cache instead of N private copies.  The in-process worker has nothing to
-share and loads weights eagerly.
+Every worker, spawned or in-process, loads an artifact the one way
+there is, :meth:`~repro.models.store.ModelStore.load`, into its own
+model LRU.
 
 **Routing is by concrete artifact id.**  The frontend resolves a
 request's family to an artifact id *once, at submit time* (the routes
@@ -114,7 +112,6 @@ def _worker_main(conn, options: dict) -> None:
         frontend=options["frontend"],
         model_cache=options["model_cache"],
         answer_cache=options["answer_cache"],
-        mmap=options["mmap"],
     )
     while True:
         try:
@@ -208,10 +205,9 @@ class PredictionCluster:
     """Serving workers behind one dispatching frontend.
 
     ``workers`` spawned processes answer the dispatcher's lanes; with
-    ``workers=0`` one in-process worker does (``mmap`` applies to worker
-    processes only).  The HTTP frontend and the load harness drive both
-    modes through the same ``submit``/``predict``/``swap``/``stats``
-    surface.
+    ``workers=0`` one in-process worker does.  The HTTP frontend and the
+    load harness drive both modes through the same
+    ``submit``/``predict``/``swap``/``stats`` surface.
     """
 
     def __init__(
@@ -223,7 +219,6 @@ class PredictionCluster:
         policy: DispatchPolicy | None = None,
         model_cache: int = 4,
         answer_cache: int = 256,
-        mmap: bool = True,
     ):
         if workers < 0:
             raise ValueError(
@@ -241,7 +236,6 @@ class PredictionCluster:
             "frontend": self.session.frontend,
             "model_cache": model_cache,
             "answer_cache": answer_cache,
-            "mmap": mmap,
         }
         self.dispatcher = Dispatcher(
             policy=policy, on_worker_lost=self._on_worker_lost

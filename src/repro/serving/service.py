@@ -13,9 +13,8 @@ provides:
   request with no feature fetch and no engine pass.  Artifact ids are
   content addresses, so a swapped or retrained model gets fresh keys;
 * **model LRU** — recently served artifacts stay deserialized in memory,
-  keyed by resolved artifact id (with ``mmap=True`` the weight arrays
-  are read-only views over a shared page-cache mapping, so N worker
-  processes serving the same artifact hold **one** physical copy);
+  keyed by resolved artifact id, each loaded once through
+  :meth:`~repro.models.store.ModelStore.load`;
 * **batched answers** — memo misses collapse by key and group by model;
   each group runs through one ``predict_batch`` call on the model.  A
   miss reads its encoded ``[n, 51]`` stream from the on-disk
@@ -169,14 +168,12 @@ class PredictionService:
         cache_dir: str | None = None,
         model_cache: int = 4,
         answer_cache: int = 256,
-        mmap: bool = False,
         frontend: str | None = None,
     ):
         self.session = session or Session(
             scale=scale, cache_dir=cache_dir,
             **({"frontend": frontend} if frontend else {}),
         )
-        self.mmap = mmap
         self._models = _LRU(model_cache)
         self._answers = _LRU(answer_cache)
         self._lock = threading.Lock()
@@ -202,20 +199,14 @@ class PredictionService:
     def model(
         self, family: str = "perfvec", artifact: str | None = None
     ) -> tuple[str, PerformanceModel]:
-        """(resolved artifact id, deserialized model), LRU-cached.
-
-        With ``mmap=True`` cold loads map the stored weights read-only
-        instead of copying them into private memory.
-        """
+        """(resolved artifact id, deserialized model), LRU-cached."""
         artifact_id = self.session.resolve_artifact(family, artifact)
         with self._lock:
             model = self._models.get(artifact_id)
         if model is None:
             self._cache_events[("model", "miss")].inc()
             with obs.span("service.model_load", artifact=artifact_id):
-                model = self.session.store.load(
-                    artifact_id, mmap=self.mmap
-                )
+                model = self.session.store.load(artifact_id)
             with self._lock:
                 self._models.put(artifact_id, model)
                 self._entries["model"].set(len(self._models))

@@ -7,7 +7,6 @@ from repro.ml.autograd import Tensor, mse_loss
 from repro.ml.data import Chunk, ChunkBatches, make_chunks, split_chunks
 from repro.ml.layers import MLP, Linear
 from repro.ml.optim import SGD, Adam, StepLR
-from repro.ml.serialize import load_state, save_state
 from repro.ml.trainer import TrainConfig, Trainer
 
 
@@ -169,13 +168,3 @@ def test_trainer_restores_best_epoch_weights():
     history = trainer.fit(batches, step, val)
     final_val = val()
     assert final_val == pytest.approx(history.best_val_loss, rel=1e-5)
-
-
-def test_serialize_roundtrip(tmp_path):
-    model = MLP([3, 5, 2])
-    path = str(tmp_path / "model.npz")
-    save_state(model, path)
-    other = MLP([3, 5, 2], rng=np.random.default_rng(42))
-    load_state(other, path)
-    x = Tensor(np.ones((2, 3), dtype=np.float32))
-    np.testing.assert_allclose(model(x).numpy(), other(x).numpy())

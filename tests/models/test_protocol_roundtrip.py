@@ -8,7 +8,6 @@ from repro.models import (
     NotFittedError,
     available,
     create,
-    load_model,
 )
 
 #: family -> constructor kwargs sized for test speed
@@ -33,14 +32,14 @@ def test_every_family_registered():
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_unfitted_model_refuses(family, tiny_dataset):
+def test_unfitted_model_refuses(family, tiny_dataset, tmp_path):
     model = create(family, **FAMILY_SPECS[family])
     assert not model.is_fitted
     assert model.config_names == ()
     with pytest.raises(NotFittedError):
         model.state_arrays()
     with pytest.raises(NotFittedError):
-        model.save("/nonexistent")
+        ModelStore(root=str(tmp_path)).put(model)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -71,22 +70,6 @@ def test_spec_and_metadata_json_serializable(family, tiny_dataset, tiny_configs)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_save_load_round_trip_byte_identical(
-    family, tiny_dataset, tiny_configs, tmp_path
-):
-    model = _fitted(family, tiny_dataset, tiny_configs)
-    before = model.predict(tiny_dataset)
-    path = model.save(str(tmp_path / family))
-    loaded = load_model(path)
-    assert loaded.family == family
-    assert loaded.config_names == model.config_names
-    after = loaded.predict(tiny_dataset)
-    assert set(after) == set(before)
-    for name in before:
-        assert np.array_equal(before[name], after[name]), name
-
-
-@pytest.mark.parametrize("family", FAMILIES)
 def test_store_round_trip_byte_identical(
     family, tiny_dataset, tiny_configs, tmp_path
 ):
@@ -98,7 +81,10 @@ def test_store_round_trip_byte_identical(
         train_config={"scale": "test"},
     )
     loaded = store.load(artifact, expect_fingerprint=tiny_dataset.fingerprint())
+    assert loaded.family == family
+    assert loaded.config_names == model.config_names
     after = loaded.predict(tiny_dataset)
+    assert set(after) == set(before)
     for name in before:
         assert np.array_equal(before[name], after[name]), name
 

@@ -1,15 +1,20 @@
 """ModelStore: content addressing, provenance checks, integrity."""
 
+import json
 import logging
 import os
+import threading
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.ml.serialize import load_arrays, save_arrays
+from repro.cache import publish, read_npz_arrays
 from repro.models import FingerprintMismatch, ModelStore, StoreError, create
 from repro.models.store import MANIFEST_JSON, WEIGHTS_NPZ
+from repro.serving import PredictionCluster, make_server
 
 @pytest.fixture()
 def store(tmp_path):
@@ -49,12 +54,71 @@ def test_load_detects_corrupt_weights(store, fitted, tiny_dataset):
         fitted, dataset_fingerprint=tiny_dataset.fingerprint()
     )
     weights_path = os.path.join(store.path(artifact), WEIGHTS_NPZ)
-    arrays = load_arrays(weights_path)
+    arrays, _ = read_npz_arrays(weights_path)
     key = sorted(arrays)[0]
     arrays[key] = arrays[key] + 1.0
-    save_arrays(weights_path, arrays)
+    publish(weights_path, lambda fh: np.savez_compressed(fh, **arrays))
     with pytest.raises(StoreError, match="corrupt"):
         store.load(artifact)
+
+
+def _write(path, data: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+#: ways a weights file goes bad after its artifact was stored
+WEIGHT_FAULTS = {
+    "torn": lambda path: _write(path, b"torn"),
+    "zero-byte": lambda path: _write(path, b""),
+    "missing": os.remove,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(WEIGHT_FAULTS))
+def test_unreadable_weights_raise_store_error(
+    store, fitted, tiny_dataset, fault
+):
+    artifact = store.put(
+        fitted, dataset_fingerprint=tiny_dataset.fingerprint()
+    )
+    WEIGHT_FAULTS[fault](os.path.join(store.path(artifact), WEIGHTS_NPZ))
+    with pytest.raises(StoreError, match=artifact):
+        store.load(artifact)
+
+
+def test_torn_weights_answer_404_naming_the_artifact(
+    tmp_path, fitted, tiny_dataset
+):
+    session = Session(scale="smoke", cache_dir=str(tmp_path))
+    artifact = session.store.put(
+        fitted, dataset_fingerprint=tiny_dataset.fingerprint()
+    )
+    _write(os.path.join(session.store.path(artifact), WEIGHTS_NPZ), b"torn")
+    cluster = PredictionCluster(workers=0, session=session)
+    server = make_server(cluster, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{server.server_address[1]}/v1/predict",
+        data=json.dumps({
+            "benchmark": fitted.metadata["benchmark"],
+            "family": "actboost", "artifact": artifact,
+        }).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=60)
+        error = json.loads(excinfo.value.read())["error"]
+    finally:
+        server.shutdown()
+        server.server_close()
+        cluster.stop()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert excinfo.value.code == 404
+    assert error == f"artifact {artifact!r} weights are corrupt"
 
 
 def test_missing_artifact_raises(store):
@@ -117,13 +181,6 @@ def test_dataset_fingerprint_sensitivity(tiny_dataset):
     assert fp == tiny_dataset.fingerprint()  # deterministic
     shifted = tiny_dataset.select_configs([0, 1])
     assert shifted.fingerprint() != fp
-
-
-def test_save_arrays_atomic_leaves_no_tmp(tmp_path):
-    path = str(tmp_path / "weights.npz")
-    save_arrays(path, {"a": np.arange(4)})
-    assert os.listdir(tmp_path) == ["weights.npz"]
-    assert np.array_equal(load_arrays(path)["a"], np.arange(4))
 
 
 def test_reput_without_tag_preserves_existing_tag(store, fitted, tiny_dataset):

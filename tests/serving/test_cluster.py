@@ -1,11 +1,13 @@
 """PredictionCluster: concurrency, crash recovery, hot-swap atomicity.
 
-These tests run a real 2-worker cluster (spawned processes, mmap'd
-weights) against a smoke-scale store and hold it to the single-process
-ground truth: every answer a client ever sees must be byte-identical to
-what ``Session.predict`` returns for the artifact that served it.
+These tests run a real 2-worker cluster (spawned processes, each loading
+its own copy of the weights) against a smoke-scale store and hold it to
+the single-process ground truth: every answer a client ever sees must be
+byte-identical to what ``Session.predict`` returns for the artifact that
+served it, for every model family.
 """
 
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import Session
+from repro.models.store import MANIFEST_JSON, WEIGHTS_NPZ
 from repro.obs.metrics import REGISTRY
 from repro.serving import (
     DispatchPolicy,
@@ -277,3 +280,82 @@ def test_worker_processes_serve_the_sessions_frontend(tmp_path):
         result = server.predict(ServeRequest(benchmark="rv.axpy"), timeout=120)
         assert server.stats()["frontend"] == "rv"
     assert result.times == session.predict("rv.axpy")
+
+
+# -- every family in the registry ----------------------------------------
+
+FAMILY_SPECS = {
+    "perfvec": SPEC,
+    "ithemal": dict(epochs=1),
+    "simnet": dict(epochs=1),
+    "program_specific": dict(epochs=40),
+    "cross_program": dict(n_signature=2),
+    "actboost": dict(n_estimators=3),
+}
+
+
+@pytest.fixture(scope="module")
+def trained(session):
+    artifacts = {
+        family: session.train(
+            family=family, benchmarks=BENCHMARKS, evaluate=False, **spec
+        ).artifact_id
+        for family, spec in FAMILY_SPECS.items()
+    }
+    return session, artifacts
+
+
+def serve_args(session, family, artifact):
+    """(benchmark, signature_times) this family can serve from."""
+    model = session.store.load(artifact)
+    if family in ("program_specific", "actboost"):
+        return model.metadata["benchmark"], None
+    benchmark = "505.mcf"
+    if family == "cross_program":
+        times = session.dataset(BENCHMARKS).total_times()[benchmark]
+        signature = tuple(
+            float(times[i]) for i in model.metadata["signature_indices"]
+        )
+        return benchmark, signature
+    return benchmark, None
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
+def test_cluster_matches_session_exactly(trained, cluster, family):
+    session, artifacts = trained
+    artifact = artifacts[family]
+    benchmark, signature = serve_args(session, family, artifact)
+    want = session.predict(
+        benchmark, family=family, artifact=artifact,
+        signature_times=None if signature is None else list(signature),
+    )
+    result = cluster.predict(
+        ServeRequest(
+            benchmark=benchmark, family=family, artifact=artifact,
+            signature_times=signature,
+        ),
+        timeout=120,
+    )
+    assert result.benchmark == benchmark
+    assert result.artifact == artifact
+    assert result.times == want  # byte-identical through the cluster
+
+
+def test_a_served_artifact_is_its_manifest_and_weights(trained, cluster):
+    # each family's artifact, written by ModelStore.put, is preloaded on
+    # both workers by a swap and then served (perfvec's is the module's
+    # route: train reused it); its directory holds nothing else
+    session, artifacts = trained
+    for family, artifact in artifacts.items():
+        assert cluster.swap(artifact)["workers"] == 2
+        benchmark, signature = serve_args(session, family, artifact)
+        cluster.predict(
+            ServeRequest(
+                benchmark=benchmark, family=family,
+                signature_times=signature,
+            ),
+            timeout=120,
+        )
+        assert sorted(os.listdir(session.store.path(artifact))) == [
+            MANIFEST_JSON, WEIGHTS_NPZ,
+        ]

@@ -68,24 +68,18 @@ def _feature_entry(root):
     )
 
 
-def _model_weights(root):
-    from repro.ml.serialize import save_arrays
+def _model_file(name):
+    def case(root):
+        from repro.models import ModelStore, create
 
-    target = os.path.join(root, "weights.npz")
-    _write(target, b"previous")
-    return target, lambda: save_arrays(target, {"w": np.arange(4.0)})
+        dataset = build_dataset([BENCH], CONFIGS, N, cache_dir=None)
+        model = create("actboost", n_estimators=2).fit(dataset, configs=CONFIGS)
+        store = ModelStore(root)
+        target = os.path.join(store.path(store.put(model)), name)
+        _write(target, b"previous")
+        return target, lambda: store.put(model)
 
-
-def _model_manifest(root):
-    from repro.models import ModelStore, create
-    from repro.models.store import MANIFEST_JSON
-
-    dataset = build_dataset([BENCH], CONFIGS, N, cache_dir=None)
-    model = create("actboost", n_estimators=2).fit(dataset, configs=CONFIGS)
-    store = ModelStore(root)
-    target = os.path.join(store.path(store.put(model)), MANIFEST_JSON)
-    _write(target, b"previous")
-    return target, lambda: store.put(model)
+    return case
 
 
 def _stage_record(root):
@@ -132,8 +126,8 @@ WRITERS = {
     "dataset_merged": _dataset_merged,
     "dataset_shard": _dataset_shard,
     "feature_entry": _feature_entry,
-    "model_weights": _model_weights,
-    "model_manifest": _model_manifest,
+    "model_weights": _model_file("weights.npz"),
+    "model_manifest": _model_file("manifest.json"),
     "stage_record": _stage_record,
     "queue_task": _queue_task,
     "imported_trace": _imported("trace.npz"),
@@ -238,7 +232,7 @@ def test_build_dataset_reaps_stale_tmp_files(tmp_path):
 
 
 def test_read_outcomes(tmp_path, caplog):
-    from repro.cache import publish, read_json, read_npz
+    from repro.cache import publish, read_json, read_npz, read_npz_arrays
 
     path = str(tmp_path / "x.json")
     assert read_json(path) == (None, "miss")
@@ -258,3 +252,12 @@ def test_read_outcomes(tmp_path, caplog):
     logged = [record.getMessage() for record in caplog.records]
     assert sum(path in message for message in logged) == 3
     assert sum(npz in message for message in logged) == 2
+    every = str(tmp_path / "every.npz")
+    assert read_npz_arrays(every) == (None, "miss")
+    publish(every, lambda fh: np.savez(fh, a=np.arange(3), b=np.ones(2, "f4")))
+    arrays, outcome = read_npz_arrays(every)
+    assert outcome == "hit" and sorted(arrays) == ["a", "b"]
+    assert arrays["b"].dtype == np.float32 and arrays["a"].tolist() == [0, 1, 2]
+    for torn in (b"torn", b""):
+        _write(every, torn)
+        assert read_npz_arrays(every) == (None, "corrupt")
