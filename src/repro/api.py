@@ -233,9 +233,11 @@ class Session:
         """The benchmark's encoded feature stream at this session's scale.
 
         Validated against the workload suite, then served from the
-        in-memory memo or the content-addressed on-disk feature cache —
-        repeated predictions never re-encode (let alone re-trace) a
-        benchmark.  The memo is unbounded (right for short-lived
+        in-memory memo or the benchmark's content-addressed feature entry
+        under this session's dataset cache — the file a dataset build on
+        this root published, so predictions never re-encode (let alone
+        re-trace) a benchmark the build or an earlier prediction
+        encoded.  The memo is unbounded (right for short-lived
         sessions); the serving layer, which keeps answer rows rather
         than streams, passes ``memo=False``: the stream then lives only
         as long as the engine pass that reads it, and a feature-cache
@@ -247,10 +249,7 @@ class Session:
         if stream is None:
             stream = encoded_features(
                 benchmark, self.scale.instructions,
-                cache_dir=(
-                    feature_cache_dir(self.cache_dir)
-                    if self.cache_dir else "auto"
-                ),
+                cache_dir=feature_cache_dir(self.cache_dir),
                 isa=self.frontend, memo=memo,
             )
             if memo:

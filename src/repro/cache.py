@@ -1,8 +1,9 @@
 """Where every on-disk cache lives, and how its files are written and read.
 
-Every on-disk cache (datasets, feature streams, model artifacts, stage
-records, the sweep queue, imported traces) lives under one *cache root*,
-resolved per call in priority order:
+Every on-disk cache (datasets with the feature streams they share with
+serving, model artifacts, stage records, the sweep queue, imported
+traces) lives under one *cache root*, resolved per call in priority
+order:
 
 1. an explicit ``cache_dir``/``root`` argument (CLI ``--cache-dir``);
 2. the ``REPRO_CACHE_DIR`` environment variable;
@@ -58,7 +59,8 @@ def cache_root(override: str | None = None) -> str:
 
 
 def dataset_cache_dir(root: str | None = None) -> str:
-    """Where :mod:`repro.features.dataset` keeps its npz cache."""
+    """Where :mod:`repro.features.dataset` keeps its npz cache, the
+    encoded feature streams under its ``features/`` included."""
     return os.path.join(cache_root(root), "datasets")
 
 

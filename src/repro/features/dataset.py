@@ -20,23 +20,31 @@ cache hit loads into its slice, and a miss takes its job outputs from the
 in-order iterator as they land, so a build's peak is the final arrays
 plus one benchmark in flight.
 
-Caching is two-level, both under ``cache_dir``:
+Three kinds of file live under ``cache_dir``:
 
-* **merged** (``<bench>_n<N>_s<seed>_<digest>.npz``) — features + the full
-  target matrix for one benchmark against one config list, keyed by a
-  content hash of every microarchitecture description.  This is the
-  long-lived cache consulted first.
+* **feature entries** (``features/<bench>_<key>.npz``) — one benchmark's
+  encoded stream, keyed by :func:`repro.features.feature_cache.feature_key`.
+  This is the only on-disk copy of a stream: the build's features job
+  publishes it, and serving (``Session.features``) reads the same file,
+  so a server on a built root never re-encodes.  A benchmark whose entry
+  exists is never encoded again, whatever the config list.
+* **merged entries** (``<bench>_n<N>_s<seed>_<digest>.npz``) — the full
+  ``targets`` matrix for one benchmark against one config list, keyed by
+  a content hash of every microarchitecture description.  (A root written
+  before feature entries existed also holds ``features`` here; only
+  ``targets`` is read, and the stream is encoded once into its entry.)
 * **shards** (``shards/<bench>_n<N>_s<seed>_<cfg-digest>.npz``) — one
-  array per job, written by the worker that computed it.  Shards let an
-  interrupted parallel build resume without re-simulating finished
-  columns; they are folded into the merged entry and deleted as soon as
-  every column of a benchmark lands.  Being transient, shards are written
-  uncompressed; the long-lived merged entry is compressed.
+  target column per simulation job, written by the worker that computed
+  it.  Shards let an interrupted parallel build resume without
+  re-simulating finished columns; they are folded into the merged entry
+  and deleted as soon as every column of a benchmark lands.  Being
+  transient, shards are written uncompressed; the long-lived entries are
+  compressed.
 
-Both kinds are published and read through :mod:`repro.cache`.  An
-unreadable entry of either kind (bit rot, a truncated copy) is recomputed,
+Every kind is published and read through :mod:`repro.cache`.  An
+unreadable file of any kind (bit rot, a truncated copy) is recomputed,
 and the rewrite repairs it; a build reaps the tmp files a killed earlier
-build left in both directories before it starts.
+build or server left in all three directories before it starts.
 
 Each simulation job times the trace its frontend memoized, so a serial
 build runs a benchmark's k simulations back to back on one trace object,
@@ -54,6 +62,11 @@ import numpy as np
 
 from repro.cache import dataset_cache_dir, publish, read_npz, reap_tmp
 from repro.features.encoder import NUM_FEATURES, encode_trace
+from repro.features.feature_cache import (
+    feature_path,
+    publish_stream,
+    read_stream,
+)
 from repro.frontends import DEFAULT_FRONTEND, get_frontend
 from repro.runtime import ParallelMap, ProgressReporter
 from repro.sim import CPUSimulator
@@ -183,14 +196,15 @@ class _SimJob:
     ``config is None`` means "encode the trace's features"; otherwise the
     job times the trace on that single microarchitecture.  Jobs are pure
     (trace regenerated from the benchmark name) and picklable, so they can
-    run in any worker process.
+    run in any worker process.  ``path`` is where the job publishes its
+    output: the benchmark's feature entry, or a shard.
     """
 
     benchmark: str
     config: MicroarchConfig | None
     max_instructions: int
     seed: int | None
-    shard_path: str | None
+    path: str | None
     isa: str = DEFAULT_FRONTEND
 
     @property
@@ -200,7 +214,7 @@ class _SimJob:
 
 
 def _run_sim_job(job: _SimJob) -> np.ndarray:
-    """Execute one job (worker side), persisting its shard when enabled.
+    """Execute one job (worker side), publishing its output when enabled.
 
     Frontend ``trace`` calls memoize per process, so consecutive jobs for
     one benchmark in the same worker share the trace.
@@ -210,10 +224,12 @@ def _run_sim_job(job: _SimJob) -> np.ndarray:
     )
     if job.config is None:
         data = encode_trace(trace)
-    else:
-        data = CPUSimulator(job.config).run(trace).incremental_latencies
-    if job.shard_path:
-        publish(job.shard_path, lambda fh: np.savez(fh, data=data))
+        if job.path:
+            publish_stream(job.path, data)
+        return data
+    data = CPUSimulator(job.config).run(trace).incremental_latencies
+    if job.path:
+        publish(job.path, lambda fh: np.savez(fh, data=data))
     return data
 
 
@@ -228,70 +244,56 @@ def _benchmark_jobs(
     """The features job plus one simulation job per config, in column order."""
     jobs = []
     for config in [None, *configs]:
-        shard = None
-        if cache_dir:
-            tag = (
-                "features"
-                if config is None
-                else hashlib.sha256(repr(config).encode()).hexdigest()[:16]
+        path = None
+        if cache_dir and config is None:
+            path = feature_path(
+                os.path.join(cache_dir, "features"), name, max_instructions,
+                seed, isa,
             )
-            shard = _shard_path(cache_dir, name, max_instructions, seed, tag, isa)
+        elif cache_dir:
+            tag = hashlib.sha256(repr(config).encode()).hexdigest()[:16]
+            path = _shard_path(cache_dir, name, max_instructions, seed, tag, isa)
         jobs.append(
             _SimJob(
                 benchmark=name,
                 config=config,
                 max_instructions=max_instructions,
                 seed=seed,
-                shard_path=shard,
+                path=path,
                 isa=isa,
             )
         )
     return jobs
 
 
-def _job_outputs(
-    bench_jobs: list[_SimJob], pooled: set[_SimJob], results: Iterator
-) -> Iterator[np.ndarray]:
-    """One benchmark's job outputs in column order.
+def _job_output(
+    job: _SimJob, pooled: set[_SimJob], results: Iterator
+) -> np.ndarray:
+    """One job's output.
 
-    A job in ``pooled`` comes from ``results`` (the pool's in-order
-    iterator); any other resumes from its shard — or, when that shard is
-    absent or unreadable, runs here.
+    A job in ``pooled`` takes it from ``results`` (the pool's in-order
+    iterator); any other reads the file it published — or, when that file
+    is absent (never written, or a concurrent builder removed it) or
+    unreadable, runs here.
     """
-    for job in bench_jobs:
-        if job in pooled:
-            yield next(results)
-            continue
-        # absent (never written, or a concurrent builder removed it) or
-        # unreadable: run it here
-        loaded = read_npz(job.shard_path, "data")[0] if job.shard_path else None
-        yield loaded[0] if loaded is not None else _run_sim_job(job)
+    if job in pooled:
+        return next(results)
+    if job.config is None:
+        stored = read_stream(job.path)[0]
+    else:
+        loaded = read_npz(job.path, "data")[0]
+        stored = None if loaded is None else loaded[0]
+    return stored if stored is not None else _run_sim_job(job)
 
 
-def _load_rows(
-    path: str, features: np.ndarray, targets: np.ndarray
-) -> int | None:
-    """Load a merged entry into the head rows of ``features``/``targets``;
-    returns its row count, or None when the entry is absent or unreadable."""
-    loaded, _ = read_npz(path, "features", "targets")
+def _load_targets(path: str, targets: np.ndarray) -> bool:
+    """Load a merged entry's targets into ``targets``; False when the entry
+    is absent or unreadable."""
+    loaded = read_npz(path, "targets")[0]
     if loaded is None:
-        return None
-    rows = len(loaded[0])
-    features[:rows], targets[:rows] = loaded
-    return rows
-
-
-def _write_rows(
-    outputs: Iterator[np.ndarray], features: np.ndarray, targets: np.ndarray
-) -> int:
-    """Write one benchmark's job outputs into the head rows of
-    ``features``/``targets`` (column by column); returns its row count."""
-    block = next(outputs)
-    rows = len(block)
-    features[:rows] = block
-    for column, block in enumerate(outputs):
-        targets[:rows, column] = block
-    return rows
+        return False
+    targets[:] = loaded[0]
+    return True
 
 
 def build_dataset(
@@ -321,8 +323,8 @@ def build_dataset(
         raise ValueError("config names must be unique")
     cache_dir = _resolve_cache_dir(cache_dir)
     if cache_dir:
-        reap_tmp(cache_dir)
-        reap_tmp(os.path.join(cache_dir, "shards"))
+        for directory in ("", "shards", "features"):
+            reap_tmp(os.path.join(cache_dir, directory))
     digest = _config_digest(configs)
     entries = {
         name: cache_dir and _cache_path(
@@ -330,21 +332,22 @@ def build_dataset(
         )
         for name in dict.fromkeys(benchmarks)
     }
-    # Benchmarks without a merged entry run as jobs, except the ones an
-    # interrupted earlier build left a shard for.
-    pending = {
-        name: _benchmark_jobs(
+    # Every benchmark needs its features job; one without a merged entry
+    # also needs its simulation jobs.  A job whose feature entry or shard
+    # exists is read, not run.
+    pending = {}
+    for name, path in entries.items():
+        bench_jobs = _benchmark_jobs(
             name, configs, max_instructions, seed, cache_dir, isa
         )
-        for name, path in entries.items()
-        if not (path and os.path.exists(path))
-    }
+        merged = path and os.path.exists(path)
+        pending[name] = bench_jobs[:1] if merged else bench_jobs
     todo = [
         job for bench_jobs in pending.values() for job in bench_jobs
-        if not (job.shard_path and os.path.exists(job.shard_path))
+        if not (job.path and os.path.exists(job.path))
     ]
     if progress is not None:
-        progress.total = len(todo)  # cache/shard hits are not jobs
+        progress.total = len(todo)  # entry/shard hits are not jobs
     results = ParallelMap(jobs=jobs, progress=progress).imap(
         _run_sim_job, todo, labels=[job.label for job in todo]
     )
@@ -368,30 +371,30 @@ def build_dataset(
             targets[cursor:cursor + rows] = targets[start:end]
         else:
             path = entries[name]
-            rows = None if name in pending else _load_rows(
-                path, features[cursor:], targets[cursor:]
-            )
-            if rows is None:
+            features_job, *sim_jobs = pending[name]
+            stream = _job_output(features_job, pooled, results)
+            rows = len(stream)
+            features[cursor:cursor + rows] = stream
+            del stream  # not held while the target columns simulate
+            block = targets[cursor:cursor + rows]
+            if sim_jobs or not _load_targets(path, block):
                 # a merged entry that vanished or is unreadable is
                 # recomputed here, resuming from any shards it left
-                bench_jobs = pending.get(name) or _benchmark_jobs(
+                sim_jobs = sim_jobs or _benchmark_jobs(
                     name, configs, max_instructions, seed, cache_dir, isa
-                )
-                rows = _write_rows(
-                    _job_outputs(bench_jobs, pooled, results),
-                    features[cursor:], targets[cursor:],
-                )
+                )[1:]
+                for column, job in enumerate(sim_jobs):
+                    block[:, column] = _job_output(job, pooled, results)
                 computed = True
                 if cache_dir:
                     publish(path, lambda fh: np.savez_compressed(
-                        fh, features=features[cursor:cursor + rows],
-                        targets=targets[cursor:cursor + rows],
+                        fh, targets=block
                     ))
                     # Shards only go once the merged entry is published, so
                     # a crash in between never loses resume state.
-                    for job in bench_jobs:
+                    for job in sim_jobs:
                         try:
-                            os.remove(job.shard_path)
+                            os.remove(job.path)
                         except OSError:
                             pass
             spans[name] = (cursor, cursor + rows)

@@ -1,17 +1,26 @@
-"""Content-addressed cache of encoded feature streams (the serving path).
+"""One on-disk copy of each encoded feature stream.
 
-``Session.predict`` / the serving layer need a benchmark's ``[n, 51]``
-feature matrix on every request; traces are deterministic functions of
-``(benchmark, max_instructions, seed)``, so the encoded features are too.
-This module memoizes them on disk under the :mod:`repro.cache` root
-(``<root>/features/``), keyed by those inputs plus an encoder version —
-bumping :data:`ENCODER_VERSION` invalidates every cached stream when the
-Table I encoding changes.
+A benchmark's ``[n, 51]`` feature matrix is a deterministic function of
+``(benchmark, max_instructions, seed, frontend)`` and the Table I
+encoding, so it is stored once: a *feature entry* keyed by
+:func:`feature_key`, in the dataset cache's ``features/`` directory
+(``<root>/datasets/features/``).  Two paths read and write the same
+entry:
 
-Encoding streams through :func:`repro.features.encoder.iter_encoded_chunks`
-so long traces never hold more than one chunk of intermediate state, and
-entries are published and read through :mod:`repro.cache`, so concurrent
-servers can share one cache directory.
+* :func:`repro.features.dataset.build_dataset` takes a benchmark's rows
+  from its entry, or encodes the trace and publishes the entry;
+* :func:`encoded_features` (behind ``Session.features``: serving and
+  ``repro predict``) reads the entry, and on a miss encodes the stream
+  through :func:`repro.features.encoder.iter_encoded_chunks`, so a long
+  trace never holds more than one chunk of intermediate state, and
+  publishes it.
+
+So a server on a root whose datasets are built never traces or encodes.
+Bumping :data:`ENCODER_VERSION` invalidates every entry when the
+encoding changes.  Entries are published and read through
+:mod:`repro.cache`, so concurrent builders and servers share one
+directory.  A root written before streams lived here keeps a
+``<root>/features/`` directory that nothing reads.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import os
 
 import numpy as np
 
-from repro.cache import cache_root, publish, read_npz
+from repro.cache import dataset_cache_dir, publish, read_npz
 from repro.features.encoder import NUM_FEATURES, iter_encoded_chunks
 from repro.frontends import DEFAULT_FRONTEND
 from repro.obs.metrics import REGISTRY
@@ -50,8 +59,9 @@ DEFAULT_CACHE_DIR = "auto"
 
 
 def feature_cache_dir(root: str | None = None) -> str:
-    """Where encoded feature streams are cached."""
-    return os.path.join(cache_root(root), "features")
+    """Where encoded feature streams are cached: the dataset cache's
+    ``features/``."""
+    return os.path.join(dataset_cache_dir(root), "features")
 
 
 def feature_key(
@@ -76,16 +86,29 @@ def feature_key(
     ).hexdigest()[:16]
 
 
-def _cache_path(
+def feature_path(
     cache_dir: str,
     benchmark: str,
     max_instructions: int,
     seed: int | None,
-    isa: str,
+    isa: str = DEFAULT_FRONTEND,
 ) -> str:
+    """The feature entry of one stream under ``cache_dir``."""
     safe = benchmark.replace(".", "_")
     key = feature_key(benchmark, max_instructions, seed, isa)
     return os.path.join(cache_dir, f"{safe}_{key}.npz")
+
+
+def read_stream(path: str) -> tuple[np.ndarray | None, str]:
+    """``(stream, outcome)`` for the feature entry at ``path``; outcomes
+    as for :func:`repro.cache.read_npz`."""
+    loaded, outcome = read_npz(path, "features")
+    return (None if loaded is None else loaded[0]), outcome
+
+
+def publish_stream(path: str, features: np.ndarray) -> None:
+    """Publish ``features`` as the feature entry at ``path``."""
+    publish(path, lambda fh: np.savez_compressed(fh, features=features))
 
 
 def encoded_features(
@@ -97,9 +120,9 @@ def encoded_features(
     isa: str = DEFAULT_FRONTEND,
     memo: bool = True,
 ) -> np.ndarray:
-    """The benchmark's encoded ``[n, 51]`` features, via the on-disk cache.
+    """The benchmark's encoded ``[n, 51]`` features, via its feature entry.
 
-    A cache miss traces the benchmark through its frontend; ``memo=False``
+    A miss traces the benchmark through its frontend; ``memo=False``
     keeps that trace out of the frontend's process-wide trace memo.
     """
     from repro.frontends import get_frontend
@@ -108,11 +131,11 @@ def encoded_features(
         cache_dir = feature_cache_dir()
     path = None
     if cache_dir:
-        path = _cache_path(cache_dir, benchmark, max_instructions, seed, isa)
-        loaded, outcome = read_npz(path, "features")
+        path = feature_path(cache_dir, benchmark, max_instructions, seed, isa)
+        stream, outcome = read_stream(path)
         _count(outcome)
-        if loaded is not None:
-            return loaded[0]
+        if stream is not None:
+            return stream
         if outcome == "corrupt":
             # a corrupt entry must not take prediction down: recompute,
             # and the rewrite below repairs it
@@ -128,5 +151,5 @@ def encoded_features(
         features[row : row + len(chunk)] = chunk
         row += len(chunk)
     if path:
-        publish(path, lambda fh: np.savez_compressed(fh, features=features))
+        publish_stream(path, features)
     return features

@@ -106,18 +106,6 @@ __all__ = [
     "render_trace",
     "reset_for_tests",
     "set_enabled",
-    "set_slow_threshold",
     "slow_threshold_s",
     "span",
 ]
-
-
-def set_slow_threshold(ms: float | None) -> None:
-    """Process-wide slow-request threshold for flight dumps (``None``
-    clears it).  Exported via :data:`SLOW_MS_ENV` so workers inherit."""
-    import os
-
-    if ms is None:
-        os.environ.pop(SLOW_MS_ENV, None)
-    else:
-        os.environ[SLOW_MS_ENV] = str(float(ms))

@@ -58,8 +58,15 @@ def test_cache_roundtrip(tmp_path):
         cache_dir=str(tmp_path),
     )
     a = build_dataset(**kwargs)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
+    # one merged entry (targets) plus one feature entry (the stream)
+    merged = [f for f in tmp_path.iterdir() if f.is_file()]
+    assert len(merged) == 1
+    assert sorted(f.name for f in tmp_path.iterdir() if f.is_dir()) == [
+        "features"
+    ]
+    assert len(list((tmp_path / "features").iterdir())) == 1
+    with np.load(merged[0]) as data:
+        assert data.files == ["targets"]
     b = build_dataset(**kwargs)
     np.testing.assert_array_equal(a.features, b.features)
     np.testing.assert_array_equal(a.targets, b.targets)
@@ -69,7 +76,9 @@ def test_cache_distinguishes_configs(tmp_path):
     base = dict(benchmarks=["505.mcf"], max_instructions=500, cache_dir=str(tmp_path))
     build_dataset(configs=configs2(), **base)
     build_dataset(configs=[cortex_a7_like()], **base)
-    assert len(list(tmp_path.iterdir())) == 2
+    assert len([f for f in tmp_path.iterdir() if f.is_file()]) == 2
+    # both config lists share the benchmark's one feature entry
+    assert len(list((tmp_path / "features").iterdir())) == 1
 
 
 def test_select_configs(tmp_path):

@@ -99,6 +99,20 @@ def test_encoded_features_cache_hit_skips_encoding(tmp_path, monkeypatch):
     encoded_features("999.specrand", 600, cache_dir=cache)
 
 
+def test_serving_and_dataset_builds_publish_the_same_entry(tmp_path):
+    """A serving miss and a dataset build's features job write the same
+    bytes under the same name, so either one's entry serves the other."""
+    from repro.features.dataset import _benchmark_jobs, _run_sim_job
+
+    served = tmp_path / "served"
+    encoded_features("505.mcf", 1200, cache_dir=str(served))
+    job = _benchmark_jobs("505.mcf", [], 1200, None, str(tmp_path / "built"))[0]
+    _run_sim_job(job)
+    assert os.listdir(served) == [os.path.basename(job.path)]
+    with open(job.path, "rb") as fh:
+        assert (served / os.path.basename(job.path)).read_bytes() == fh.read()
+
+
 def test_feature_key_is_content_addressed():
     base = feature_key("505.mcf", 1200, None)
     assert base == feature_key("505.mcf", 1200, None)

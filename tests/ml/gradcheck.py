@@ -1,4 +1,4 @@
-"""Finite-difference gradient verification for the autodiff engine."""
+"""Finite-difference gradient checks for the autodiff tests."""
 
 from __future__ import annotations
 

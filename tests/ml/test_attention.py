@@ -9,7 +9,8 @@ from repro.ml.attention import (
     sinusoidal_positions,
 )
 from repro.ml.autograd import Tensor
-from repro.ml.gradcheck import check_gradients
+
+from gradcheck import check_gradients
 
 
 def rng():

@@ -13,7 +13,8 @@ from repro.ml.autograd import (
     no_grad,
     stack,
 )
-from repro.ml.gradcheck import check_gradients
+
+from gradcheck import check_gradients
 
 
 def leaf(shape, seed=0, scale=1.0):

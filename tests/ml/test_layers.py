@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.ml.autograd import Tensor
-from repro.ml.gradcheck import check_gradients
 from repro.ml.layers import MLP, Dropout, LayerNorm, Linear, Module, Sequential
+
+from gradcheck import check_gradients
 
 
 def rng():

@@ -8,9 +8,10 @@ from repro.core.perfvec import PerfVec
 from repro.core.predictor import MicroarchTable
 from repro.features.encoder import NUM_FEATURES
 from repro.ml.autograd import Tensor, concat, mse_loss, stack
-from repro.ml.gradcheck import check_gradients
 from repro.ml.optim import Adam
 from repro.ml.recurrent import GRU, INFER_BLOCK, LSTM
+
+from gradcheck import check_gradients
 
 
 def rng():

@@ -72,14 +72,14 @@ def test_queue_corrupt_task_file_counted(tmp_path, caplog):
 
 
 def test_feature_cache_corrupt_entry_recomputes(tmp_path, caplog):
-    from repro.features.feature_cache import _cache_path, encoded_features
+    from repro.features.feature_cache import encoded_features, feature_path
     from repro.frontends import DEFAULT_FRONTEND
 
     cache_dir = str(tmp_path / "features")
     os.makedirs(cache_dir)
     first = encoded_features(
         "999.specrand", 200, seed=7, cache_dir=cache_dir)
-    path = _cache_path(cache_dir, "999.specrand", 200, 7, DEFAULT_FRONTEND)
+    path = feature_path(cache_dir, "999.specrand", 200, 7, DEFAULT_FRONTEND)
     assert os.path.exists(path)
     with open(path, "wb") as fh:
         fh.write(b"this is not an npz archive")
@@ -101,14 +101,14 @@ def test_feature_cache_corrupt_entry_recomputes(tmp_path, caplog):
 def test_feature_cache_zero_byte_entry_recomputes(tmp_path, caplog):
     """An empty cache file makes np.load raise EOFError: still a counted,
     logged corruption that is recomputed and rewritten."""
-    from repro.features.feature_cache import _cache_path, encoded_features
+    from repro.features.feature_cache import encoded_features, feature_path
     from repro.frontends import DEFAULT_FRONTEND
 
     cache_dir = str(tmp_path / "features")
     os.makedirs(cache_dir)
     first = encoded_features(
         "999.specrand", 200, seed=7, cache_dir=cache_dir)
-    path = _cache_path(cache_dir, "999.specrand", 200, 7, DEFAULT_FRONTEND)
+    path = feature_path(cache_dir, "999.specrand", 200, 7, DEFAULT_FRONTEND)
     open(path, "wb").close()
     before = _counter_value("repro_feature_cache_total", outcome="corrupt")
     with caplog.at_level("WARNING", logger="repro.features.feature_cache"):

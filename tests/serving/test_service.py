@@ -254,6 +254,7 @@ def test_served_misses_leave_the_trace_memo_empty(session, family):
     if family != "perfvec":
         session.train(family=family, benchmarks=BENCHMARKS, evaluate=False,
                       epochs=1)
+    # delete only the feature entries (the datasets' merged entries stay)
     features = feature_cache_dir(session.cache_dir)
     shutil.rmtree(features, ignore_errors=True)
     session._features.clear()
@@ -264,6 +265,36 @@ def test_served_misses_leave_the_trace_memo_empty(session, family):
     if family == "perfvec":  # every one missed the feature cache
         assert len(os.listdir(features)) == len(BENCHMARKS)
     assert suite._TRACE_CACHE == {}
+
+
+def test_a_built_root_serves_every_stream_from_its_dataset(
+    session, tmp_path, monkeypatch
+):
+    """A server on a root whose dataset was built reads the streams that
+    build encoded: every program is a feature-cache hit, and nothing is
+    traced."""
+    from repro.frontends import DEFAULT_FRONTEND, get_frontend
+
+    def lookups(outcome: str) -> float:
+        return REGISTRY.counter(
+            "repro_feature_cache_total", outcome=outcome
+        ).value
+
+    root = str(tmp_path)
+    shutil.copytree(session.store.root, os.path.join(root, "models"))
+    names = (*BENCHMARKS, "519.lbm")
+    Session(scale="smoke", cache_dir=root).dataset(names)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a served stream was traced")
+
+    monkeypatch.setattr(type(get_frontend(DEFAULT_FRONTEND)), "trace", refuse)
+    hits, misses = lookups("hit"), lookups("miss")
+    service = PredictionService(session=Session(scale="smoke", cache_dir=root))
+    for name in names:
+        assert service.predict(ServeRequest(benchmark=name)).times
+    assert lookups("hit") == hits + len(names)
+    assert lookups("miss") == misses
 
 
 def test_unknown_artifact_raises_store_error(service):

@@ -51,17 +51,19 @@ def _dataset_merged(root):
     return target, lambda: build_dataset([BENCH], CONFIGS, N, cache_dir=root)
 
 
-def _dataset_shard(root):
-    job = _benchmark_jobs(BENCH, CONFIGS, N, None, root)[1]
-    _write(job.shard_path, b"previous")
-    return job.shard_path, lambda: _run_sim_job(job)
+def _dataset_job(column):
+    def case(root):  # column 0 publishes a feature entry, the rest shards
+        job = _benchmark_jobs(BENCH, CONFIGS, N, None, root)[column]
+        _write(job.path, b"previous")
+        return job.path, lambda: _run_sim_job(job)
+
+    return case
 
 
 def _feature_entry(root):
     from repro.features import feature_cache
-    from repro.frontends import DEFAULT_FRONTEND
 
-    target = feature_cache._cache_path(root, BENCH, N, None, DEFAULT_FRONTEND)
+    target = feature_cache.feature_path(root, BENCH, N, None)
     _write(target, b"previous")
     return target, lambda: feature_cache.encoded_features(
         BENCH, N, cache_dir=root, memo=False
@@ -124,7 +126,8 @@ def _results_json(root):
 
 WRITERS = {
     "dataset_merged": _dataset_merged,
-    "dataset_shard": _dataset_shard,
+    "dataset_shard": _dataset_job(1),
+    "dataset_feature_entry": _dataset_job(0),
     "feature_entry": _feature_entry,
     "model_weights": _model_file("weights.npz"),
     "model_manifest": _model_file("manifest.json"),
@@ -217,10 +220,13 @@ def test_reap_tmp_keeps_a_fresh_tmp_and_removes_a_stale_one(
 def test_build_dataset_reaps_stale_tmp_files(tmp_path):
     from repro.cache import STALE_TMP_SECONDS
 
-    shards = tmp_path / "shards"
+    shards, features = tmp_path / "shards", tmp_path / "features"
     shards.mkdir()
-    stale = [tmp_path / "a.npz.1.0badc0de.tmp", shards / "b.npz.1.0badc0de.tmp"]
-    fresh = [tmp_path / "c.npz.2.0badc0de.tmp", shards / "d.npz.2.0badc0de.tmp"]
+    features.mkdir()
+    stale = [tmp_path / "a.npz.1.0badc0de.tmp", shards / "b.npz.1.0badc0de.tmp",
+             features / "e.npz.1.0badc0de.tmp"]
+    fresh = [tmp_path / "c.npz.2.0badc0de.tmp", shards / "d.npz.2.0badc0de.tmp",
+             features / "f.npz.2.0badc0de.tmp"]
     for path in stale + fresh:
         path.write_bytes(b"torn")
     past = time.time() - STALE_TMP_SECONDS - 60
