@@ -86,11 +86,6 @@ class Instruction:
         object.__setattr__(self, "src_slots", pad_s)
         object.__setattr__(self, "dst_slots", pad_d)
 
-    @property
-    def all_srcs(self) -> tuple[int, ...]:
-        """Explicit sources plus address-mode registers (unpadded)."""
-        return tuple(r for r in self.src_slots if r != REG_NONE)
-
     def to_asm(self, symbols: dict[int, str] | None = None) -> str:
         """Assembly text for this instruction (labels via ``symbols``)."""
         parts: list[str] = []

@@ -34,7 +34,7 @@ from repro.ml.layers import (
 )
 from repro.ml.recurrent import GRU, LSTM
 from repro.ml.attention import MultiHeadAttention, TransformerEncoder
-from repro.ml.optim import SGD, Adam, StepLR
+from repro.ml.optim import Adam, StepLR
 from repro.ml.data import ChunkBatches, split_chunks
 from repro.ml.trainer import TrainConfig, Trainer
 
@@ -45,7 +45,7 @@ __all__ = [
     "Tanh",
     "GRU", "LSTM",
     "MultiHeadAttention", "TransformerEncoder",
-    "SGD", "Adam", "StepLR",
+    "Adam", "StepLR",
     "ChunkBatches", "split_chunks",
     "TrainConfig", "Trainer",
 ]

@@ -28,28 +28,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters, lr: float = 0.01, momentum: float = 0.0):
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v -= self.lr * p.grad
-                p.data += v
-            else:
-                p.data -= self.lr * p.grad
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba) with bias correction."""
 

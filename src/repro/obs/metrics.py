@@ -79,9 +79,6 @@ class Gauge:
         with self._registry._lock:
             self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
 
 class Histogram:
     """Fixed-bucket histogram with percentile readout.

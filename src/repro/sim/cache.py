@@ -6,7 +6,10 @@ keeps every operation O(1) in pure Python, which matters — cache simulation
 is the hot path of the whole reproduction.  Sets are created on first
 touch (a large L2 has tens of thousands, most never used by a short
 trace), and the hierarchy takes the L1 hit path inline, so a hit costs
-one call.
+one call.  The L1 miss paths are methods of their own
+(:meth:`CacheHierarchy.ifetch_miss`, :meth:`CacheHierarchy.data_miss`),
+so the CPU model can take the hit path in its own loop and call the
+hierarchy only on a miss.
 
 The hierarchy supports the paper's "exclusivity" cache knob: with an
 exclusive L2, an L2 hit *moves* the line into L1 and L1 victims are demoted
@@ -120,7 +123,12 @@ class CacheHierarchy:
             s[line] = None
             l1d.hits += 1
             return L1_HIT
-        l1d.misses += 1
+        return self.data_miss(line)
+
+    def data_miss(self, line: int) -> int:
+        """:meth:`probe_data` after ``line`` missed in L1D: count the miss,
+        fill from L2 or memory, return the hit level."""
+        self.l1d.misses += 1
         if self.l2.lookup(line):
             if self.exclusive:
                 self.l2.remove(line)
@@ -161,7 +169,12 @@ class CacheHierarchy:
             s[line] = None
             l1i.hits += 1
             return self._l1i_lat, L1_HIT
-        l1i.misses += 1
+        return self.ifetch_miss(line, now)
+
+    def ifetch_miss(self, line: int, now: int) -> tuple[int, int]:
+        """:meth:`access_ifetch` after ``line`` missed in L1I: count the
+        miss, fill from L2 or memory, return ``(latency, level)``."""
+        self.l1i.misses += 1
         if self.l2.lookup(line):
             self.l1i.insert(line)
             return self._l1i_lat + self._l2_lat, L2_HIT

@@ -22,11 +22,21 @@ instruction retires in the same cycle bundle as its predecessor), reported
 in the paper's unit of 0.1 ns.
 
 The trace is microarchitecture-independent, so its per-instruction decode
-(op class, functional-unit group, control kind, operand slots, address,
+(issue kind, control kind, source and destination registers, address,
 branch outcome) is too: :func:`_decode` builds it once and keeps the last
 trace's rows in a one-entry memo, so a dataset build that times one trace
 on its k microarchitectures back to back decodes it once (Sec. IV-B's
 reuse argument applied to the simulator itself).
+
+Every training target comes from the per-instruction loop of
+:meth:`CPUSimulator.run`, so that loop keeps its state flat: per-cycle
+resource usage lives in lists indexed by cycle, and the L1I/L1D hit
+paths and conditional-branch resolution run inline (each copy names the
+method it mirrors).  :class:`~repro.sim.cache.CacheHierarchy` and
+:class:`~repro.sim.branch.BranchUnit` stay the only home of the miss
+paths and predictor state, and the loop calls them in program order, so
+that state never depends on timing (SimNet's untimed walk over the same
+classes sees the same misses; ``tests/sim/test_cpu.py`` checks it).
 """
 
 from __future__ import annotations
@@ -36,31 +46,36 @@ from functools import cached_property
 
 import numpy as np
 
+from repro import obs
 from repro.isa.instructions import MAX_SRC_SLOTS
 from repro.isa.opcodes import OPCODE_BY_ID, OpClass
 from repro.isa.registers import NUM_REGS
 from repro.sim.branch import BranchUnit
-from repro.sim.cache import CacheHierarchy, L1_HIT, MEM_HIT
+from repro.sim.cache import CacheHierarchy, MEM_HIT
 from repro.uarch.config import CoreKind, MicroarchConfig
 from repro.vm.trace import Trace
 
-#: Map op classes to functional-unit group indices (-1: no FU needed).
-_FU_GROUP = {
+#: What an instruction occupies when it issues, by op class: a
+#: functional unit of group 0-5 (index into the core's FU pools, in
+#: :class:`~repro.uarch.config.CoreConfig` order), a memory port
+#: (``_LD``/``_ST``), or only an issue slot (``_FENCE``, ``_SLOT``).
+_LD, _ST, _FENCE, _SLOT = 6, 7, 8, 9
+_KIND = {
     OpClass.INT_ALU: 0,
     OpClass.INT_MUL: 1,
     OpClass.INT_DIV: 2,
     OpClass.FP_ADD: 3,
     OpClass.FP_MUL: 4,
     OpClass.FP_DIV: 5,
-    OpClass.LOAD: -1,
-    OpClass.STORE: -1,
+    OpClass.LOAD: _LD,
+    OpClass.STORE: _ST,
     OpClass.BRANCH: 0,  # compare on an ALU
     OpClass.JUMP: 0,
     OpClass.JUMP_IND: 0,
     OpClass.CALL: 0,
-    OpClass.BARRIER: -1,
-    OpClass.NOP: -1,
-    OpClass.HALT: -1,
+    OpClass.BARRIER: _FENCE,
+    OpClass.NOP: _SLOT,
+    OpClass.HALT: _SLOT,
 }
 
 #: Control-transfer kinds of a decoded instruction (0: not a branch).
@@ -80,54 +95,61 @@ def _control_kind(spec) -> int:
 
 
 #: Per-opcode-id decode tables (index with ``trace.opid``).
-_OP_CLASS = np.array([int(spec.opclass) for spec in OPCODE_BY_ID])
-_OP_FU_GROUP = np.array([_FU_GROUP[spec.opclass] for spec in OPCODE_BY_ID])
+_OP_KIND = np.array([_KIND[spec.opclass] for spec in OPCODE_BY_ID])
 _OP_CONTROL = np.array([_control_kind(spec) for spec in OPCODE_BY_ID])
-
-_LOAD = int(OpClass.LOAD)
-_STORE = int(OpClass.STORE)
-_BARRIER = int(OpClass.BARRIER)
 
 #: Place values packing one operand-slot row into an int64 key: slots
 #: hold ``REG_NONE`` (-1) or a register id below ``NUM_REGS``.
 _SLOT_PLACES = (NUM_REGS + 1) ** np.arange(MAX_SRC_SLOTS, dtype=np.int64)
 
 
+def _registers(row: list[int]) -> tuple[int, ...]:
+    """The registers of one padded slot row: the slots before the first
+    ``REG_NONE``."""
+    for i, reg in enumerate(row):
+        if reg < 0:
+            return tuple(row[:i])
+    return tuple(row)
+
+
 def _slot_rows(slots: np.ndarray) -> list[tuple[int, ...]]:
-    """``slots`` as one padded tuple per instruction, each distinct row one
-    shared tuple.  A trace has a few dozen distinct rows, so a decode
-    creates almost no objects the garbage collector must track."""
+    """``slots`` as one register tuple per instruction (padding
+    stripped), each distinct row one shared tuple.  A trace has a few
+    dozen distinct rows, so a decode creates almost no objects the
+    garbage collector must track."""
     keys = (slots.astype(np.int64) + 1) @ _SLOT_PLACES[: slots.shape[1]]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    distinct = [tuple(row) for row in slots[first].tolist()]
+    distinct = [_registers(row) for row in slots[first].tolist()]
     return list(map(distinct.__getitem__, inverse.tolist()))
 
 
-#: The last decoded ``(trace, rows)`` pair.  A pure cache: one strong
+#: The last decoded trace and its decode.  A pure cache: one strong
 #: reference, replaced by a single assignment, so a hit is exactly the
 #: trace object it was built from and concurrent callers at worst decode
 #: twice.  One entry, not one per trace: rows cost ~1 MB per 6k
 #: instructions, and dataset builds time each trace on all its
 #: microarchitectures consecutively anyway.
-_decoded: tuple[Trace, list[tuple]] | None = None
+_decoded: tuple[Trace, tuple[list[tuple], frozenset[int]]] | None = None
 
 
-def _decode(trace: Trace) -> list[tuple]:
-    """Per-instruction ``(pc, op class, FU group, control kind, src slots,
-    dst slots, address, taken, target)`` rows of ``trace``, memoized.
+def _decode(trace: Trace) -> tuple[list[tuple], frozenset[int]]:
+    """Per-instruction ``(pc, kind, control kind, src registers, dst
+    registers, address, taken, target)`` rows of ``trace`` and the set of
+    kinds they use, memoized.
 
-    Slot rows keep the trace's ``REG_NONE`` (-1) padding; readers stop at
-    the first negative slot.
+    ``kind`` is what the instruction occupies when it issues (see
+    ``_KIND``).  Register tuples hold only real registers: the trace's
+    ``REG_NONE`` padding is stripped here, so readers iterate them whole.
     """
     global _decoded
     slot = _decoded
     if slot is not None and slot[0] is trace:
         return slot[1]
     opid = trace.opid
+    kind = _OP_KIND[opid]
     rows = list(zip(
         trace.pc.tolist(),
-        _OP_CLASS[opid].tolist(),
-        _OP_FU_GROUP[opid].tolist(),
+        kind.tolist(),
         _OP_CONTROL[opid].tolist(),
         _slot_rows(trace.src_slots),
         _slot_rows(trace.dst_slots),
@@ -135,8 +157,9 @@ def _decode(trace: Trace) -> list[tuple]:
         (trace.branch_taken == 1).tolist(),
         trace.branch_target.tolist(),
     ))
-    _decoded = (trace, rows)
-    return rows
+    decoded = rows, frozenset(np.unique(kind).tolist())
+    _decoded = (trace, decoded)
+    return decoded
 
 
 @dataclass(frozen=True)
@@ -190,23 +213,42 @@ class CPUSimulator:
     # ------------------------------------------------------------------
     def run(self, trace: Trace) -> SimResult:
         """Time ``trace`` on this microarchitecture."""
-        cfg = self.config
-        core = cfg.core
         n = len(trace)
         if n == 0:
             raise ValueError("empty trace")
-        rows = _decode(trace)
+        with obs.span("sim.run", config=self.config.name, trace=trace.name,
+                      instructions=n) as span:
+            result = self._time(*_decode(trace))
+            span.set("cycles", result.total_cycles)
+        return result
 
+    def _time(self, rows: list[tuple], kinds: frozenset[int]) -> SimResult:
+        cfg = self.config
+        core = cfg.core
+        n = len(rows)
+
+        # --- caches and branch predictor -----------------------------------
+        # The loop takes the L1 hit paths and conditional-branch
+        # resolution itself and calls the hierarchy or branch unit only on
+        # a miss or for the predictor update; hits, branches and
+        # mispredicts are counted in locals and written back at the end.
         hierarchy = CacheHierarchy(cfg)
-        access_ifetch = hierarchy.access_ifetch
-        probe_data = hierarchy.probe_data
+        l1i_sets, l1i_mask = hierarchy.l1i._sets, hierarchy.l1i.set_mask
+        l1d_sets, l1d_mask = hierarchy.l1d._sets, hierarchy.l1d.set_mask
+        ifetch_miss = hierarchy.ifetch_miss
+        data_miss = hierarchy.data_miss
         data_latency = hierarchy.data_latency
         dram_access = hierarchy.dram.access
         line_shift = cfg.l1d.line_bytes.bit_length() - 1
         l1i_lat = cfg.l1i.latency
         l1_lat = cfg.l1d.latency
+        l1i_hits = l1d_hits = 0
         branch_unit = BranchUnit(cfg.branch)
-        resolve_conditional = branch_unit.resolve_conditional
+        predict_update = branch_unit.direction.predict_update
+        btb_mask = branch_unit.btb_mask
+        btb_tags = branch_unit.btb_tags
+        btb_targets = branch_unit.btb_targets
+        branches = mispredicts = 0
 
         # --- resources ----------------------------------------------------
         # Bandwidth-limited resources (issue slots, pipelined FU pools,
@@ -217,30 +259,59 @@ class CPUSimulator:
         # any "next-free-time" pool model gets wrong.  Occupancy-limited
         # resources (unpipelined dividers, MSHRs) keep busy-until pools:
         # they are held for a duration, not a cycle.
+        #
+        # The counters are flat lists indexed by cycle.  A full cycle holds
+        # at least one booking, so a run of full cycles is at most n long:
+        # keeping every list longer than ``t + n`` before a walk from ``t``
+        # means no walk runs past the end.  Elements are Python ints, so a
+        # cycle booked past its capacity (a load issuing where its MSHR
+        # frees, see below) holds its exact count.  Every FU or port
+        # booking also books an issue slot in the same cycle, so a pool at
+        # least as wide as the issue width never binds and keeps no
+        # counter (nor does a pool the trace never uses).
+        iw = core.issue_width
+        port_cap = core.mem_ports
+        size = 2 * n
+        issue = [0] * size
+        counters = [issue]
+        ports = None
+        if port_cap < iw and (_LD in kinds or _ST in kinds):
+            ports = [0] * size
+            counters.append(ports)
+        fu = []  # per FU group: (per-cycle counts, count, latency, busy-until)
         groups = (core.int_alu, core.int_mul, core.int_div,
                   core.fp_add, core.fp_mul, core.fp_div)
-        fu_counts: list[dict[int, int]] = [{} for _ in groups]
-        fu_cap = [g.count for g in groups]
-        fu_lat = [g.latency for g in groups]
-        fu_pipe = [g.pipelined for g in groups]
-        fu_busy: list[list[int]] = [[0] * g.count for g in groups]
-        port_counts: dict[int, int] = {}
-        port_cap = core.mem_ports
+        for g, group in enumerate(groups):
+            counts = units = None
+            if not group.pipelined:
+                units = [0] * group.count
+            elif group.count < iw and g in kinds:
+                counts = [0] * size
+                counters.append(counts)
+            fu.append((counts, group.count, group.latency, units))
+        limit = size - n
+
+        def grow(t: int) -> int:
+            """Extend every counter to ``t + 2n``; the new ``limit``."""
+            extra = [0] * (t + 2 * n - len(issue))
+            for counts in counters:
+                counts += extra
+            return t + n
+
         mshrs = [0] * core.mshrs
-        issue_counts: dict[int, int] = {}
-        iw = core.issue_width
 
         reg_ready = [0] * NUM_REGS
         ooo = core.kind is CoreKind.OUT_OF_ORDER
         rob = core.rob_size if ooo else 0
         cw = core.commit_width
-        # Zero padding stands in for "no instruction that far back", so
-        # ``retire[-rob]`` and ``retire[-cw]`` need no bounds checks: a
-        # zero never binds, since every retire cycle is >= 1.
-        pad = max(rob, cw)
-        retire = [0] * pad
-        push_retire = retire.append
+        # Instruction i retires into ``retire[rob + i]``.  The zero padding
+        # stands in for "no instruction that far back", so the window read
+        # ``retire[k - rob]`` needs no bounds check: a zero never binds,
+        # since every retire cycle is >= 1.  ``same`` counts the
+        # instructions retiring in cycle ``last_retire`` (commit width).
+        retire = [0] * (rob + n)
         last_retire = 0
+        same = 0
         prev_issue = 0
 
         fw = core.fetch_width
@@ -250,21 +321,22 @@ class CPUSimulator:
         fetch_cycle = 0
         fetched = 0
         cur_line = -1
-        redirect = 0
         max_complete = 0
         fence_ready = 0
 
-        for pc, oc, g, ctl, srcs, dsts, addr, taken, target in rows:
+        for k, (pc, kind, ctl, srcs, dsts, addr, taken, target) in enumerate(
+            rows, rob
+        ):
             # ---- fetch ------------------------------------------------
-            if fetch_cycle < redirect:
-                fetch_cycle = redirect
-                fetched = 0
-                cur_line = -1
             line = pc >> line_shift
             if line != cur_line:
-                ilat, ilvl = access_ifetch(pc, fetch_cycle)
-                if ilvl != L1_HIT:
-                    fetch_cycle += ilat - l1i_lat
+                s = l1i_sets[line & l1i_mask]
+                if line in s:  # CacheHierarchy.access_ifetch's hit path
+                    del s[line]
+                    s[line] = None
+                    l1i_hits += 1
+                else:
+                    fetch_cycle += ifetch_miss(line, fetch_cycle)[0] - l1i_lat
                     fetched = 0
                 cur_line = line
             ft = fetch_cycle
@@ -276,7 +348,7 @@ class CPUSimulator:
             # ---- dispatch / window -------------------------------------
             t = ft + fe_depth
             if ooo:
-                r = retire[-rob]
+                r = retire[k - rob]
                 if r > t:
                     t = r
             elif prev_issue > t:
@@ -284,8 +356,6 @@ class CPUSimulator:
 
             # ---- operand readiness -------------------------------------
             for s in srcs:
-                if s < 0:
-                    break
                 r = reg_ready[s]
                 if r > t:
                     t = r
@@ -295,111 +365,146 @@ class CPUSimulator:
             # issue slots and (if needed) FU or port bandwidth must all
             # have room in the same cycle.  The walk keeps the counts it
             # read at the chosen cycle, and booking adds one to them.
-            if g >= 0:
-                if fu_pipe[g]:
-                    counts = fu_counts[g]
-                    cap = fu_cap[g]
-                    while ((used := issue_counts.get(t, 0)) >= iw
-                           or (busy := counts.get(t, 0)) >= cap):
-                        t += 1
-                    counts[t] = busy + 1
-                    complete = t + fu_lat[g]
+            if kind < _LD:
+                counts, cap, latency, units = fu[kind]
+                if units is None:
+                    if t >= limit:
+                        limit = grow(t)
+                    if counts is None:
+                        while (used := issue[t]) >= iw:
+                            t += 1
+                    else:
+                        while (used := issue[t]) >= iw or (busy := counts[t]) >= cap:
+                            t += 1
+                        counts[t] = busy + 1
+                    complete = t + latency
                 else:
                     # unpipelined unit (divider): held for the whole operation
-                    units = fu_busy[g]
                     free = min(units)
                     if free > t:
                         t = free
-                    while (used := issue_counts.get(t, 0)) >= iw:
+                    if t >= limit:
+                        limit = grow(t)
+                    while (used := issue[t]) >= iw:
                         t += 1
-                    complete = t + fu_lat[g]
+                    complete = t + latency
                     units[units.index(free)] = complete
-            elif oc == _LOAD or oc == _STORE:
+            elif kind < _FENCE:
                 if fence_ready > t:
                     t = fence_ready
-                while ((used := issue_counts.get(t, 0)) >= iw
-                       or (ports := port_counts.get(t, 0)) >= port_cap):
-                    t += 1
-                level = probe_data(addr)
-                if oc == _STORE:
+                if t >= limit:
+                    limit = grow(t)
+                if ports is None:
+                    while (used := issue[t]) >= iw:
+                        t += 1
+                else:
+                    while (used := issue[t]) >= iw or (booked := ports[t]) >= port_cap:
+                        t += 1
+                line = addr >> line_shift
+                s = l1d_sets[line & l1d_mask]
+                if line in s:  # CacheHierarchy.probe_data's hit path
+                    del s[line]
+                    s[line] = None
+                    l1d_hits += 1
+                    complete = t + (1 if kind == _ST else l1_lat)
+                elif kind == _ST:
                     # state update + bandwidth consumption; the write
                     # buffer hides store latency from the pipeline
-                    if level == MEM_HIT:
+                    if data_miss(line) == MEM_HIT:
                         dram_access(t)
                     complete = t + 1
-                elif level == L1_HIT:
-                    complete = t + l1_lat
                 else:
+                    level = data_miss(line)
                     # an MSHR must be free before the miss can go out;
-                    # DRAM queueing is measured from the settled time
+                    # DRAM queueing is measured from the settled time.
+                    # The load then issues at ``free`` without
+                    # re-checking the issue slots and ports it re-reads
+                    # there, so it can book a cycle past capacity (a
+                    # known fault; fixing it moves every target).
                     free = min(mshrs)
                     if free > t:
                         t = free
-                        used = issue_counts.get(t, 0)
-                        ports = port_counts.get(t, 0)
+                        if t >= limit:
+                            limit = grow(t)
+                        used = issue[t]
+                        if ports is not None:
+                            booked = ports[t]
                     complete = t + data_latency(level, t)
                     mshrs[mshrs.index(free)] = complete
                 # booked at the final issue cycle, after any MSHR wait
-                port_counts[t] = ports + 1
+                if ports is not None:
+                    ports[t] = booked + 1
             else:
-                if oc == _BARRIER and max_complete > t:
+                if kind == _FENCE and max_complete > t:
                     t = max_complete
-                while (used := issue_counts.get(t, 0)) >= iw:
+                if t >= limit:
+                    limit = grow(t)
+                while (used := issue[t]) >= iw:
                     t += 1
                 complete = t + 1
-                if oc == _BARRIER:
+                if kind == _FENCE:
                     fence_ready = complete
-            issue_counts[t] = used + 1
+            issue[t] = used + 1
 
             # ---- control resolution --------------------------------------
             if ctl:
                 if ctl == _COND:
-                    if resolve_conditional(pc, target, taken):
-                        redirect = complete + penalty
-                    elif taken and fetch_cycle <= ft:
-                        fetch_cycle = ft + 1
-                        fetched = 0
-                        cur_line = -1
-                elif ctl == _JUMP or ctl == _CALL:
-                    if ctl == _JUMP:
-                        branch_unit.resolve_direct_jump(pc, target)
-                    else:
-                        branch_unit.resolve_call(pc, target)
-                    if fetch_cycle <= ft:
-                        fetch_cycle = ft + 1
-                        fetched = 0
-                        cur_line = -1
+                    # BranchUnit.resolve_conditional, inline
+                    branches += 1
+                    predicted = predict_update(pc, target, taken)
+                    if taken:
+                        # BranchUnit._btb_update, inline
+                        idx = (pc >> 2) & btb_mask
+                        btb_tags[idx] = pc
+                        btb_targets[idx] = target
+                    mis = predicted != taken
+                    if mis:
+                        mispredicts += 1
                 else:
-                    if ctl == _RET:
+                    taken = True  # jumps, calls and returns always are
+                    if ctl == _JUMP:
+                        mis = branch_unit.resolve_direct_jump(pc, target)
+                    elif ctl == _CALL:
+                        mis = branch_unit.resolve_call(pc, target)
+                    elif ctl == _RET:
                         mis = branch_unit.resolve_return(pc, target)
                     else:
                         mis = branch_unit.resolve_indirect(pc, target)
-                    if mis:
-                        redirect = complete + penalty
-                    elif fetch_cycle <= ft:
-                        fetch_cycle = ft + 1
+                if mis:
+                    # younger fetch restarts once the branch resolves
+                    redirect = complete + penalty
+                    if fetch_cycle < redirect:
+                        fetch_cycle = redirect
                         fetched = 0
                         cur_line = -1
+                elif taken and fetch_cycle <= ft:
+                    # a taken branch ends its fetch bundle
+                    fetch_cycle = ft + 1
+                    fetched = 0
+                    cur_line = -1
 
             # ---- writeback -----------------------------------------------
             for d in dsts:
-                if d < 0:
-                    break
                 reg_ready[d] = complete
             if complete > max_complete:
                 max_complete = complete
 
-            # ---- retire ---------------------------------------------------
-            rt = complete + 1
-            if last_retire > rt:
-                rt = last_retire
-            c = retire[-cw] + 1
-            if c > rt:
-                rt = c
-            push_retire(rt)
-            last_retire = rt
+            # ---- retire: in order, at most cw per cycle -------------------
+            if complete >= last_retire:
+                last_retire = complete + 1
+                same = 1
+            elif same < cw:
+                same += 1
+            else:
+                last_retire += 1
+                same = 1
+            retire[k] = last_retire
             prev_issue = t
 
+        hierarchy.l1i.hits += l1i_hits
+        hierarchy.l1d.hits += l1d_hits
+        branch_unit.branches += branches
+        branch_unit.mispredicts += mispredicts
         stats: dict[str, int | float] = {
             "instructions": n,
             "cycles": last_retire,
@@ -411,7 +516,7 @@ class CPUSimulator:
         return SimResult(
             config_name=cfg.name,
             freq_ghz=core.freq_ghz,
-            retire_cycles=np.array(retire[pad:], dtype=np.int64),
+            retire_cycles=np.array(retire[rob:], dtype=np.int64),
             stats=stats,
         )
 

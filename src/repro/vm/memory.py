@@ -78,8 +78,3 @@ class Memory:
                 self.write_float(addr, value)
             else:
                 self.write_word(addr, value)
-
-    @property
-    def mapped_bytes(self) -> int:
-        """Total bytes of mapped pages (footprint diagnostic)."""
-        return len(self._pages) * PAGE_BYTES

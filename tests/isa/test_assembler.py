@@ -98,7 +98,7 @@ def test_address_modes():
 def test_store_value_is_source():
     prog = assemble("main: st r5, [r6 + 8]\n halt")
     st = prog.code[0]
-    assert 5 in st.all_srcs and 6 in st.all_srcs
+    assert 5 in st.src_slots and 6 in st.src_slots
     assert st.dsts == ()
 
 
@@ -112,7 +112,7 @@ def test_call_ret_implicit_link_register():
     )
     call, _, ret = prog.code
     assert LR in call.dsts
-    assert LR in ret.all_srcs
+    assert LR in ret.src_slots
 
 
 def test_fp_operands_checked():

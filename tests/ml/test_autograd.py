@@ -201,11 +201,3 @@ def test_grad_not_tracked_for_plain_tensors():
 def test_cannot_nest_tensor():
     with pytest.raises(TypeError):
         Tensor(Tensor(np.ones(2)))
-
-
-def test_detach_cuts_graph():
-    a = Tensor(np.ones(2), requires_grad=True)
-    y = (a * 2).detach()
-    z = (y * 3).sum()
-    z.backward()
-    assert a.grad is None

@@ -6,32 +6,8 @@ import pytest
 from repro.ml.autograd import Tensor, mse_loss
 from repro.ml.data import Chunk, ChunkBatches, make_chunks, split_chunks
 from repro.ml.layers import MLP, Linear
-from repro.ml.optim import SGD, Adam, StepLR
+from repro.ml.optim import Adam, StepLR
 from repro.ml.trainer import TrainConfig, Trainer
-
-
-def test_sgd_minimizes_quadratic():
-    w = Tensor(np.array([5.0, -3.0]), requires_grad=True)
-    opt = SGD([w], lr=0.1)
-    for _ in range(200):
-        opt.zero_grad()
-        loss = (w * w).sum()
-        loss.backward()
-        opt.step()
-    np.testing.assert_allclose(w.data, 0.0, atol=1e-6)
-
-
-def test_sgd_momentum_faster_on_valley():
-    def run(momentum):
-        w = Tensor(np.array([4.0]), requires_grad=True)
-        opt = SGD([w], lr=0.02, momentum=momentum)
-        for _ in range(50):
-            opt.zero_grad()
-            ((w * w).sum()).backward()
-            opt.step()
-        return abs(float(w.data[0]))
-
-    assert run(0.9) < run(0.0)
 
 
 def test_adam_minimizes_rosenbrock_ish():
@@ -52,8 +28,6 @@ def test_optimizer_validation():
     w = Tensor(np.zeros(2), requires_grad=True)
     with pytest.raises(ValueError):
         Adam([w], lr=-1.0)
-    with pytest.raises(ValueError):
-        SGD([w], momentum=1.5)
 
 
 def test_steplr_schedule():

@@ -38,7 +38,7 @@ def test_gauge_set_inc_dec(registry):
     gauge = registry.gauge("depth")
     gauge.set(5)
     gauge.inc()
-    gauge.dec(2)
+    gauge.inc(-2)
     assert gauge.value == 4.0
 
 

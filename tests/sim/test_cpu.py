@@ -15,7 +15,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.baselines.simnet import simnet_features
 from repro.isa import assemble
+from repro.isa.opcodes import OPCODE_BY_ID
 from repro.sim import CPUSimulator, simulate
 from repro.uarch import PRESETS, presets, sample_configs
 from repro.uarch.config import CoreKind, PredictorKind
@@ -258,6 +260,38 @@ def test_golden_digest_over_suite_and_control_mix():
     traces.append(trace_benchmark("505.mcf", 6000))
     results = [simulate(t, cfg) for t in traces for cfg in configs]
     assert result_digest(results) == GOLDEN_DIGEST
+
+
+#: Opcode ids resolved through the BTB or the return-address stack.
+_INDIRECT = np.array([spec.is_indirect for spec in OPCODE_BY_ID])
+
+
+def test_cache_and_predictor_state_never_depends_on_timing():
+    """The caches and the branch predictor see the same accesses in
+    program order whatever the timing: SimNet's untimed walk over the
+    same hierarchy and predictor (``simnet_features``) counts the same
+    L1I, L1D and L2 misses as the timed run, and the same mispredicts
+    where only conditional branches can mispredict (SimNet predicts
+    nothing else).  This is what lets the loop take the hit paths
+    inline, and what warming caches and predictor without timing needs.
+    """
+    configs = golden_configs()
+    for name in ALL_BENCHMARKS:
+        trace = trace_benchmark(name, 2000)
+        indirect = bool(_INDIRECT[trace.opid].any())
+        for cfg in configs:
+            stats = simulate(trace, cfg).stats
+            walk = simnet_features(trace, cfg)
+            # hit-level one-hots: data at 15 + level, ifetch at 19 + level
+            # (levels 1-3: L1, L2, memory); column 23 flags a mispredict
+            key = (name, cfg.name)
+            assert stats["l1d_misses"] == walk[:, 17:19].sum(), key
+            assert stats["l1i_misses"] == walk[:, 21:23].sum(), key
+            assert stats["l2_misses"] == walk[:, 18].sum() + walk[:, 22].sum(), key
+            if indirect:
+                assert stats["mispredicts"] >= walk[:, 23].sum(), key
+            else:
+                assert stats["mispredicts"] == walk[:, 23].sum(), key
 
 
 def test_run_order_never_changes_results():

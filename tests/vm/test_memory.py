@@ -49,16 +49,6 @@ def test_load_image_mixed_types():
     assert mem.read_float(8) == 2.25
 
 
-def test_mapped_bytes_tracks_pages():
-    mem = Memory()
-    assert mem.mapped_bytes == 0
-    mem.write_word(0, 1)
-    mem.write_word(8, 1)
-    assert mem.mapped_bytes == 4096
-    mem.write_word(1 << 20, 1)
-    assert mem.mapped_bytes == 8192
-
-
 @given(st.integers(min_value=-(2**63), max_value=2**63 - 1))
 def test_wrap_i64_identity_in_range(value):
     assert wrap_i64(value) == value
